@@ -179,6 +179,56 @@ def run_convex_hull_consensus(
     :class:`~repro.core.algorithm_cc.EmptyInitialPolytopeError` if the
     round-0 intersection is empty (possible only below the bound).
     """
+    sched = scheduler or default_scheduler(seed=seed)
+    sched.reset()
+
+    def simulate(cores, plan, core_factory, on_deliver):
+        return run_simulation(
+            cores,
+            fault_plan=plan,
+            scheduler=sched,
+            on_deliver=on_deliver,
+            link_faults=link_faults,
+            reliable_transport=reliable_transport,
+            checkpoint_store=checkpoint_store,
+            core_factory=core_factory,
+        )
+
+    return run_consensus(
+        inputs,
+        f,
+        eps,
+        simulate,
+        fault_plan=fault_plan,
+        input_bounds=input_bounds,
+        enforce_resilience=enforce_resilience,
+        algorithm=algorithm,
+        observer=observer,
+        seed=seed,
+        scheduler_name=type(sched).__name__,
+    )
+
+
+def run_consensus(
+    inputs,
+    f: int,
+    eps: float,
+    simulate,
+    *,
+    fault_plan: FaultPlan | None = None,
+    input_bounds: tuple[float, float] | None = None,
+    enforce_resilience: bool = True,
+    algorithm: str = "cc",
+    observer=None,
+    seed: int = 0,
+    scheduler_name: str,
+) -> CCResult:
+    """The one setup path of every consensus entry point, on any runtime.
+
+    Builds the config, checks the fault plan, builds traces, cores and the
+    recovery core factory, calls ``simulate(cores, plan, core_factory,
+    on_deliver)`` for the run's report, and packages a :class:`CCResult`.
+    """
     if algorithm not in ("cc", "bcc"):
         raise ValueError(f"unknown algorithm {algorithm!r}; expected 'cc' or 'bcc'")
     pts = as_points_array(inputs)
@@ -207,8 +257,6 @@ def run_convex_hull_consensus(
             dim=config.dim if algorithm == "bcc" else None,
             f=config.f,
         )
-    sched = scheduler or default_scheduler(seed=seed)
-    sched.reset()
 
     traces = [
         ProcessTrace(pid=i, input_point=pts[i].copy()) for i in range(config.n)
@@ -225,16 +273,7 @@ def run_convex_hull_consensus(
     factory = (
         cc_core_factory(config, pts, traces) if plan.recoveries else None
     )
-    report = run_simulation(
-        cores,
-        fault_plan=plan,
-        scheduler=sched,
-        on_deliver=on_deliver,
-        link_faults=link_faults,
-        reliable_transport=reliable_transport,
-        checkpoint_store=checkpoint_store,
-        core_factory=factory,
-    )
+    report = simulate(cores, plan, factory, on_deliver)
 
     trace = ExecutionTrace(
         n=config.n,
@@ -244,7 +283,7 @@ def run_convex_hull_consensus(
         t_end=config.t_end,
         fault_plan=plan,
         seed=seed,
-        scheduler_name=type(sched).__name__,
+        scheduler_name=scheduler_name,
         processes=traces,
         messages_sent=report.messages_sent,
         messages_delivered=report.messages_delivered,

@@ -13,9 +13,7 @@ from .batch import (
     batch_directed_hausdorff,
     batch_disagreement_diameter,
     batch_enabled,
-    batch_feasibility,
     batch_hausdorff_distance,
-    batch_linear_combination,
     batch_override,
     set_batch_enabled,
 )
@@ -141,9 +139,7 @@ __all__ = [
     "batch_directed_hausdorff",
     "batch_disagreement_diameter",
     "batch_enabled",
-    "batch_feasibility",
     "batch_hausdorff_distance",
-    "batch_linear_combination",
     "batch_override",
     "cache_disabled",
     "cache_enabled",

@@ -3,13 +3,10 @@
 Algorithm CC's cost after the PR-1 memoization layer and the PR-4 depth
 fast path is dominated by *per-polytope python loops*: the per-vertex
 Hausdorff maximisation behind every ``d_H`` evaluation (a FISTA projection
-per vertex, ~1.2M tiny numpy calls for one n=16 analysis pass), the
-pairwise Minkowski fold in ``linear_combination``, and one LP per
-feasibility check.  This module restructures those paths around **batch**
-inputs: a stacked-vertex-array + prefix-index batch type, batched
-Hausdorff-distance maximisation with certified pruning, batched
-combinations with redundancy collapse, and batched LP feasibility over a
-single stacked constraint system.
+per vertex, ~1.2M tiny numpy calls for one n=16 analysis pass).  This
+module restructures that path around **batch** inputs: a
+stacked-vertex-array + prefix-index batch type and batched
+Hausdorff-distance maximisation with certified pruning.
 
 Equivalence contract
 --------------------
@@ -48,8 +45,6 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-
 from .cache import PERF, array_key
 from .errors import DimensionMismatchError, EmptyPolytopeError
 from .polytope import ConvexPolytope
@@ -60,9 +55,7 @@ __all__ = [
     "PolytopeBatch",
     "batch_directed_hausdorff",
     "batch_disagreement_diameter",
-    "batch_feasibility",
     "batch_hausdorff_distance",
-    "batch_linear_combination",
     "batch_enabled",
     "batch_override",
     "set_batch_enabled",
@@ -120,16 +113,15 @@ class PolytopeBatch:
 
     The batch layout is the currency of the batch core: member ``i``'s
     vertices are ``stacked[offsets[i]:offsets[i+1]]``, so cross-member
-    vectorized operations (pairwise distance blocks, per-member bounding
-    boxes/supports via segmented reductions) run as single numpy calls
-    over the whole population instead of per-polytope python loops.
+    vectorized operations (pairwise distance blocks) run as single numpy
+    calls over the whole population instead of per-polytope python loops.
 
     Members must share one ambient dimension and be non-empty (the batch
-    operations below are maximisations/combinations, undefined on empty
-    operands exactly as their scalar counterparts are).
+    operations below are maximisations, undefined on empty operands
+    exactly as their scalar counterparts are).
     """
 
-    __slots__ = ("stacked", "offsets", "dim", "_members", "_keys")
+    __slots__ = ("stacked", "offsets", "dim")
 
     def __init__(self, polytopes: Sequence[ConvexPolytope]):
         members = list(polytopes)
@@ -147,51 +139,6 @@ class PolytopeBatch:
         self.stacked = np.vstack([p.vertices for p in members])
         self.offsets = offsets
         self.dim = dim
-        self._members = members
-        self._keys: list[tuple] | None = None
-
-    @classmethod
-    def from_polytopes(cls, polytopes: Sequence[ConvexPolytope]) -> "PolytopeBatch":
-        return cls(polytopes)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def member(self, i: int) -> ConvexPolytope:
-        return self._members[i]
-
-    def segment(self, i: int) -> np.ndarray:
-        """Member ``i``'s vertex rows of the stacked array (a view)."""
-        return self.stacked[self.offsets[i] : self.offsets[i + 1]]
-
-    @property
-    def vertex_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def content_keys(self) -> list[tuple]:
-        """Per-member content keys (bit-level identity across members)."""
-        if self._keys is None:
-            self._keys = [array_key(p.vertices) for p in self._members]
-        return self._keys
-
-    def bounding_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member axis-aligned boxes as ``(lowers, uppers)``, each (k, d).
-
-        Segmented min/max reductions — order-independent, hence exactly the
-        per-member ``vertices.min(axis=0)`` / ``.max(axis=0)`` values.
-        """
-        starts = self.offsets[:-1]
-        lowers = np.minimum.reduceat(self.stacked, starts, axis=0)
-        uppers = np.maximum.reduceat(self.stacked, starts, axis=0)
-        return lowers, uppers
-
-    def supports(self, direction) -> np.ndarray:
-        """Per-member support values ``max <direction, x>`` as shape (k,)."""
-        d = np.asarray(direction, dtype=float).reshape(-1)
-        if d.size != self.dim:
-            raise DimensionMismatchError("direction dimension mismatch")
-        dots = self.stacked @ d
-        return np.maximum.reduceat(dots, self.offsets[:-1])
 
     def coordinate_scale(self) -> float:
         """``max(1, max |coordinate|)`` over the whole batch (margin scaling)."""
@@ -344,120 +291,3 @@ def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
         if dist > worst:
             worst = dist
     return worst
-
-
-# ----------------------------------------------------------------------
-# Batched combinations
-# ----------------------------------------------------------------------
-
-def batch_linear_combination(
-    jobs: Sequence[tuple[Sequence[ConvexPolytope], Sequence[float]]],
-    *,
-    max_intermediate_vertices: int = 100_000,
-) -> list[ConvexPolytope]:
-    """Evaluate many ``L(polytopes; weights)`` jobs with redundancy collapse.
-
-    All processes of one simulated round freeze heavily overlapping — and
-    frequently bit-identical — ``Y_i[t]`` multisets; this entry point maps
-    the whole round's combinations in one call.  Jobs are grouped by the
-    same order-preserving content key the memoization layer uses, each
-    distinct job is computed once by the scalar ``linear_combination``
-    kernel (which itself consults the in-memory and shared caches), and
-    results are fanned back out.  Same-kernel equivalence: every returned
-    polytope is a scalar-kernel output for its exact operands.
-    """
-    from .combination import linear_combination  # deferred: mutual import
-
-    job_list = list(jobs)
-    PERF.batch_combination_jobs += len(job_list)
-    results: list[ConvexPolytope | None] = [None] * len(job_list)
-    computed: dict[tuple, ConvexPolytope] = {}
-    for pos, (polys, weights) in enumerate(job_list):
-        operands = list(polys)
-        w = tuple(float(c) for c in weights)
-        key = (
-            tuple(
-                array_key(p.vertices) if not p.is_empty else "empty"
-                for p in operands
-            ),
-            w,
-        )
-        if key not in computed:
-            computed[key] = linear_combination(
-                operands,
-                list(w),
-                max_intermediate_vertices=max_intermediate_vertices,
-            )
-        results[pos] = computed[key]
-    PERF.batch_combination_unique += len(computed)
-    return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Batched LP feasibility
-# ----------------------------------------------------------------------
-
-def batch_feasibility(
-    systems: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> list[bool]:
-    """Feasibility of many halfspace systems ``{x : A x <= b}`` at once.
-
-    Where solver semantics allow — a single *stacked* LP over the
-    block-diagonal assembly of all systems, one variable block per system
-    and a zero objective — one ``scipy.optimize.linprog`` call answers
-    the whole batch: the stacked program is feasible iff **every** system
-    is feasible, so a success certifies all of them together.  On stacked
-    infeasibility (at least one empty system, but the LP cannot say
-    which) the batch falls back to one feasibility LP per system.
-
-    Systems with no rows are trivially feasible and excluded from the
-    assembly.  The answers are exact LP feasibility verdicts either way;
-    only the number of solver calls changes.
-    """
-    sys_list = [
-        (np.asarray(a, dtype=float), np.asarray(b, dtype=float).reshape(-1))
-        for a, b in systems
-    ]
-    if not sys_list:
-        return []
-    results = [True] * len(sys_list)
-    nontrivial = [
-        idx for idx, (a, _b) in enumerate(sys_list) if a.shape[0] > 0
-    ]
-    if not nontrivial:
-        return results
-
-    if len(nontrivial) > 1:
-        from scipy.sparse import block_diag
-
-        a_stack = block_diag(
-            [sys_list[idx][0] for idx in nontrivial], format="csr"
-        )
-        b_stack = np.concatenate([sys_list[idx][1] for idx in nontrivial])
-        PERF.lp_solves += 1
-        PERF.batch_lp_stacked += 1
-        res = linprog(
-            np.zeros(a_stack.shape[1]),
-            A_ub=a_stack,
-            b_ub=b_stack,
-            bounds=[(None, None)] * a_stack.shape[1],
-            method="highs",
-        )
-        if res.success:
-            return results
-
-    # Per-system fallback (also the single-system path).
-    for idx in nontrivial:
-        a, b = sys_list[idx]
-        PERF.lp_solves += 1
-        if len(nontrivial) > 1:
-            PERF.batch_lp_fallbacks += 1
-        res = linprog(
-            np.zeros(a.shape[1]),
-            A_ub=a,
-            b_ub=b,
-            bounds=[(None, None)] * a.shape[1],
-            method="highs",
-        )
-        results[idx] = bool(res.success)
-    return results

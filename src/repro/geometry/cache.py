@@ -82,16 +82,11 @@ class PerfCounters:
     minkowski_pairs: int = 0
     minkowski_candidates: int = 0
     # Batch-core counters (repro.geometry.batch): pruning effectiveness of
-    # the batched Hausdorff maximisation, redundancy collapse of batched
-    # combinations, and stacked-LP routing of batched feasibility.
+    # the batched Hausdorff maximisation.
     batch_hausdorff_pairs: int = 0
     batch_hausdorff_pair_prunes: int = 0
     batch_hausdorff_vertex_prunes: int = 0
     batch_hausdorff_dedup_groups: int = 0
-    batch_combination_jobs: int = 0
-    batch_combination_unique: int = 0
-    batch_lp_stacked: int = 0
-    batch_lp_fallbacks: int = 0
     # Shared cross-worker cache counters (repro.geometry.shared_cache).
     # Hits are split by provenance: ``local`` entries were written by this
     # very process (an intra-worker hit that the in-memory LRU missed,

@@ -237,13 +237,3 @@ def store_polytope(key: str, poly) -> bool:
         {"vertices": poly.vertices, "dim": np.array(poly.dim, dtype=np.int64)},
     )
 
-
-def load_float(key: str) -> float | None:
-    data = load_arrays(key)
-    if data is None or "value" not in data:
-        return None
-    return float(np.asarray(data["value"]).reshape(-1)[0])
-
-
-def store_float(key: str, value: float) -> bool:
-    return store_arrays(key, {"value": np.array(float(value))})

@@ -36,7 +36,6 @@ from .transport import (
     LossyFabric,
     TransportBudgetError,
     TransportNetwork,
-    run_transport_simulation,
 )
 from .tracing import ExecutionTrace, ProcessTrace
 
@@ -73,7 +72,6 @@ __all__ = [
     "TransportBudgetError",
     "TransportNetwork",
     "default_scheduler",
-    "run_transport_simulation",
     "run_lockstep_consensus",
     "run_lockstep_simulation",
     "freeze_point",

@@ -10,23 +10,13 @@ asyncio tasks with randomised (seeded) per-message delays:
 * one handler coroutine per process consumes its inbox,
 * quiescence detection (no message in flight anywhere) ends the run.
 
-The same :class:`~repro.runtime.process.ProcessShell` wraps the cores, so
-crash specs (including mid-broadcast crashes) behave identically; only the
-interleaving source differs.  Executions are *not* bit-reproducible across
-platforms — tests assert the algorithm's properties, never specific
-interleavings.
-
-Link faults (a :class:`~repro.runtime.faults.LinkFaultPlan`) run here in
-the **collapsed retransmission** model: because each forwarder coroutine
-is the serial owner of its channel, a lost frame and its eventual
-retransmissions collapse into one delivery preceded by the retry backoff
-sleeps the reliable transport would have paid (counted in
-``PERF.retransmissions``).  Duplication injects a second inbox copy that
-receiver-side sequence dedup suppresses (``PERF.dup_drops``); partitions
-map fabric-clock intervals to wall time via ``step_seconds``, and a
-never-healing partition surfaces as the quiescence timeout.  Raw mode
-(``reliable_transport=False``) is simulator-only: without the recovery
-layer a real event loop has no deterministic oracle to check against.
+It is a thin adapter: the event loop replaces the delivery loop, and
+everything around delivery — shells, crash specs (including mid-broadcast
+crashes), Byzantine engines, crash-recovery, the termination check and
+the report — is the shared :class:`~repro.runtime.simulator.RunHarness`.
+Only the interleaving source differs.  Executions are *not*
+bit-reproducible across platforms — tests assert the algorithm's
+properties, never specific interleavings.
 """
 
 from __future__ import annotations
@@ -35,247 +25,105 @@ import asyncio
 
 import numpy as np
 
-from ..geometry.cache import PERF
-from .faults import FaultPlan, LinkFaultPlan
-from .messages import Payload
-from .process import ProcessShell, ProtocolCore
-from .simulator import SimulationError, SimulationReport
+from .faults import FaultPlan
+from .messages import Envelope, Payload
+from .process import ProtocolCore
+from .simulator import (
+    DeliveryPolicy,
+    RunHarness,
+    SimulationError,
+    SimulationReport,
+)
 
 
-class _AsyncTransport:
-    """Duck-typed stand-in for :class:`Network` inside process shells."""
+class _AsyncRuntime(DeliveryPolicy):
+    """Channel queues, forwarders, handlers, and quiescence accounting.
 
-    def __init__(self, n: int, runtime: "_AsyncRuntime"):
+    Doubles as the shells' network (``n`` + ``send``) and as the
+    harness's policy (every hook a no-op: crashed receivers are
+    screened in :meth:`handler`).
+    """
+
+    def __init__(self, n: int, seed: int, max_delay: float):
         self.n = n
-        self._runtime = runtime
         self.messages_sent = 0
-        self.messages_delivered = 0
-
-    def send(self, src: int, dst: int, payload: Payload, send_round: int) -> None:
-        self.messages_sent += 1
-        self._runtime.enqueue(src, dst, payload)
-
-
-class _AsyncRuntime:
-    """Channel queues, forwarders, handlers, and quiescence accounting."""
-
-    def __init__(
-        self,
-        n: int,
-        seed: int,
-        max_delay: float,
-        link_faults: LinkFaultPlan | None = None,
-        step_seconds: float | None = None,
-    ):
-        self.n = n
         self._rng = np.random.default_rng(seed)
         self._max_delay = max_delay
-        self._link_faults = link_faults
-        #: Wall-time length of one fabric clock step, used to place the
-        #: spec's partition intervals and delay steps on the event loop.
-        self._step_seconds = (
-            step_seconds
-            if step_seconds is not None
-            else max(max_delay, 1e-3)
-        )
         self._channels: dict[tuple[int, int], asyncio.Queue] = {}
         self._inboxes: list[asyncio.Queue] = [asyncio.Queue() for _ in range(n)]
-        #: Per-link send sequence numbers (assigned at enqueue) and the
-        #: next expected number at the receiver — the dedup that earns
-        #: exactly-once back from duplicated deliveries.
-        self._link_seq: dict[tuple[int, int], int] = {}
-        self._expected: dict[tuple[int, int], int] = {}
-        self._healed: set[tuple[int, int, int]] = set()
         self._in_flight = 0
         self._quiescent = asyncio.Event()
         self._quiescent.set()
-        self.delivered = 0
-        #: Crash-recovery hooks, wired by run_asyncio_simulation when the
-        #: fault plan schedules revivals (None otherwise — historical path).
-        self._recovery = None
-        self._parked: dict[int, list[tuple[Payload, int]]] = {}
 
-    def enqueue(self, src: int, dst: int, payload: Payload) -> None:
+    @property
+    def network(self) -> "_AsyncRuntime":
+        return self
+
+    def send(self, src: int, dst: int, payload: Payload, send_round: int) -> None:
+        self.messages_sent += 1
         self._in_flight += 1
         self._quiescent.clear()
-        key = (src, dst)
-        if key not in self._channels:
-            raise SimulationError(f"unknown channel {key}")
-        seq = self._link_seq.get(key, 0)
-        self._link_seq[key] = seq + 1
-        self._channels[key].put_nowait((payload, seq))
+        self._channels[(src, dst)].put_nowait(
+            Envelope(src=src, dst=dst, seq=0, send_round=send_round, payload=payload)
+        )
 
     def settle_one(self) -> None:
         self._in_flight -= 1
         if self._in_flight == 0:
             self._quiescent.set()
 
-    async def _hold_while_partitioned(
-        self, src: int, dst: int, spec, start: float
-    ) -> None:
-        """Sleep until the link's current partition interval heals.
-
-        A never-healing interval parks the forwarder in long sleeps; the
-        frame it holds keeps ``_in_flight`` positive, so the run surfaces
-        as the quiescence timeout — the asyncio analogue of the
-        simulator's delivery-budget abort.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            clock = int((loop.time() - start) / self._step_seconds)
-            if not spec.partitioned_at(clock):
-                return
-            heal = spec.heal_after(clock)
-            if heal is None:
-                await asyncio.sleep(60.0)
-                continue
-            await asyncio.sleep(max((heal - clock) * self._step_seconds, 1e-6))
-            if (src, dst, heal) not in self._healed:
-                self._healed.add((src, dst, heal))
-                PERF.partition_heals += 1
-
     async def forwarder(self, src: int, dst: int) -> None:
         queue = self._channels[(src, dst)]
-        plan = self._link_faults
-        spec = plan.spec(src, dst) if plan is not None else None
-        lossy = spec is not None and spec.faulty
-        link_rng = (
-            np.random.default_rng([plan.seed, src, dst]) if lossy else None
-        )
-        start = asyncio.get_running_loop().time()
+        inbox = self._inboxes[dst]
         while True:
-            payload, seq = await queue.get()
-            if lossy:
-                if spec.partitions:
-                    await self._hold_while_partitioned(src, dst, spec, start)
-                # Collapsed retransmission: the forwarder owns the channel,
-                # so "lose, back off, retransmit" collapses into paying the
-                # seeded backoff sleeps before the one delivery that lands.
-                attempt = 1
-                while float(link_rng.random()) < spec.loss:
-                    PERF.link_drops += 1
-                    PERF.retransmissions += 1
-                    from ..analysis.engine import retry_delay
-
-                    backoff = retry_delay(
-                        f"{src}->{dst}#{seq}", attempt, self._step_seconds
-                    )
-                    await asyncio.sleep(min(backoff, 0.05))
-                    attempt += 1
-                # Collapsed corruption: a scrambled frame dies at the
-                # receiver's checksum gate and is retransmitted, which in
-                # the collapsed model is another backoff sleep before the
-                # pristine copy lands.  Gated so corrupt-free links keep
-                # their historical RNG stream.
-                if spec.corrupt:
-                    while float(link_rng.random()) < spec.corrupt:
-                        PERF.corrupt_drops += 1
-                        PERF.retransmissions += 1
-                        from ..analysis.engine import retry_delay
-
-                        backoff = retry_delay(
-                            f"{src}->{dst}#{seq}x", attempt, self._step_seconds
-                        )
-                        await asyncio.sleep(min(backoff, 0.05))
-                        attempt += 1
-                extra = 0.0
-                if spec.delay:
-                    extra += float(
-                        link_rng.uniform(0.0, spec.delay * self._step_seconds)
-                    )
-                if spec.reorder and float(link_rng.random()) < spec.reorder:
-                    extra += float(
-                        link_rng.uniform(
-                            0.0, 3 * (spec.delay + 1) * self._step_seconds
-                        )
-                    )
-                if float(link_rng.random()) < spec.dup:
-                    PERF.link_dups += 1
-                    self._in_flight += 1
-                    self._quiescent.clear()
-                    self._inboxes[dst].put_nowait((payload, src, (src, dst), seq))
-            else:
-                extra = 0.0
-            delay = float(self._rng.uniform(0.0, self._max_delay)) + extra
+            env = await queue.get()
+            delay = float(self._rng.uniform(0.0, self._max_delay))
             if delay > 0:
                 await asyncio.sleep(delay)
-            self._inboxes[dst].put_nowait((payload, src, (src, dst), seq))
+            inbox.put_nowait(env)
 
-    async def handler(self, shell: ProcessShell) -> None:
-        inbox = self._inboxes[shell.pid]
+    async def handler(self, pid: int) -> None:
+        inbox = self._inboxes[pid]
+        harness = self.harness
+        shell = harness.shells[pid]
         while True:
-            payload, src, link, seq = await inbox.get()
-            expected = self._expected.get(link, 0)
-            if seq < expected:
-                # The surviving copy of a duplicated frame: suppressed at
-                # the delivery boundary, exactly like the transport layer.
-                # The dedup state is runtime-owned, so it survives a
-                # revival of the receiving process unchanged.
-                PERF.dup_drops += 1
-                self.settle_one()
-                continue
-            self._expected[link] = seq + 1
-            if (
-                shell.crashed
-                and self._recovery is not None
-                and self._recovery.will_recover(shell.pid)
-            ):
-                # Park for the revival instead of consuming silently: the
-                # channel retired the message, nobody will resend it.
-                self._parked.setdefault(shell.pid, []).append((payload, src))
-                self.settle_one()
-                continue
+            env = await inbox.get()
             try:
-                shell.receive(payload, src)
+                # A crashed receiver that will recover gets the message
+                # parked for its revival: the channel retired it, nobody
+                # will resend it.
+                if shell.crashed and harness.park(env):
+                    continue
+                harness.deliver(pid, env.payload, env.src)
             finally:
-                self.delivered += 1
                 self.settle_one()
-            if self._recovery is not None:
-                if shell.crashed:
-                    self._recovery.note_crash(shell, self.delivered)
-                for pid in self._recovery.due(self.delivered):
-                    self._revive(pid)
+            harness.settle(shell)
 
-    def _revive(self, pid: int) -> None:
-        """Execute one revival, then replay its parked messages."""
-        shell = self._recovery.revive(pid, self.delivered)
-        for payload, src in self._parked.pop(pid, []):
-            shell.receive(payload, src)
-            self.delivered += 1
-
-    async def run(self, shells: list[ProcessShell], timeout: float) -> None:
+    async def run(self, timeout: float) -> None:
+        harness = self.harness
         for src in range(self.n):
             for dst in range(self.n):
                 if src != dst:
                     self._channels[(src, dst)] = asyncio.Queue()
         tasks = [
             asyncio.create_task(self.forwarder(src, dst))
-            for src in range(self.n)
-            for dst in range(self.n)
-            if src != dst
+            for src, dst in self._channels
         ]
-        tasks.extend(asyncio.create_task(self.handler(s)) for s in shells)
+        tasks.extend(
+            asyncio.create_task(self.handler(pid)) for pid in range(self.n)
+        )
         try:
-            for shell in shells:
-                shell.start()
-            if self._recovery is not None:
-                for shell in shells:
-                    if shell.crashed:
-                        self._recovery.note_crash(shell, self.delivered)
+            harness.start()
             await asyncio.wait_for(self._quiescent.wait(), timeout=timeout)
             # Quiescence can be momentary when a handler is about to emit;
             # confirm it is stable by yielding and re-checking.
             while True:
                 await asyncio.sleep(0)
                 if self._in_flight == 0:
-                    if (
-                        self._recovery is not None
-                        and self._recovery.has_pending
-                    ):
-                        # Stable quiescence with revivals pending: fire
-                        # the earliest one (the quiescence rule) and keep
-                        # running — its restart may emit new messages.
-                        self._revive(self._recovery.pop_earliest())
+                    # Stable quiescence with revivals pending: fire the
+                    # earliest one and keep running — its restart may
+                    # emit new messages.
+                    if harness.revive_earliest():
                         continue
                     break
                 await asyncio.wait_for(self._quiescent.wait(), timeout=timeout)
@@ -297,88 +145,28 @@ def run_asyncio_simulation(
     max_delay: float = 0.001,
     timeout: float = 120.0,
     require_all_fault_free_decide: bool = True,
-    link_faults: LinkFaultPlan | None = None,
-    reliable_transport: bool = True,
-    step_seconds: float | None = None,
     checkpoint_store=None,
     core_factory=None,
 ) -> SimulationReport:
     """Drive the cores on the asyncio runtime until quiescence.
 
-    Mirrors :func:`repro.runtime.simulator.run_simulation`'s contract and
-    report format; accepts the same cores and fault plans.  With
-    ``link_faults`` the forwarders run the collapsed-retransmission model
-    (see module docstring); ``step_seconds`` maps the plan's fabric-clock
-    intervals to wall time (default: ``max(max_delay, 1e-3)``).
+    Same contract and report format as
+    :func:`repro.runtime.simulator.run_simulation`; accepts the same
+    cores and fault plans.
     """
-    if not reliable_transport:
-        raise ValueError(
-            "reliable_transport=False is simulator-only: on a live event "
-            "loop there is no deterministic delivery boundary for the "
-            "ChannelError oracle to check against"
-        )
-    n = len(cores)
-    plan = (fault_plan or FaultPlan.none()).validate(n)
-    runtime = _AsyncRuntime(
-        n,
-        seed=seed,
-        max_delay=max_delay,
-        link_faults=link_faults,
-        step_seconds=step_seconds,
+    runtime = _AsyncRuntime(len(cores), seed=seed, max_delay=max_delay)
+    harness = RunHarness(
+        cores,
+        fault_plan,
+        runtime,
+        checkpoint_store=checkpoint_store,
+        core_factory=core_factory,
     )
-    transport = _AsyncTransport(n, runtime)
-    from .recovery import RecoveryManager, make_recovery_setup
-
-    store = make_recovery_setup(plan, checkpoint_store, core_factory)
-    from .byzantine import byzantine_engines
-
-    engines = byzantine_engines(plan, n)
-    shells = [
-        ProcessShell(
-            core,
-            transport,
-            crash_spec=plan.crash_spec(core.pid),
-            checkpoint_store=store,
-            byzantine=engines.get(core.pid),
-        )
-        for core in cores
-    ]
-    manager = (
-        RecoveryManager(plan, shells, core_factory=core_factory, store=store)
-        if plan.recoveries
-        else None
-    )
-    runtime._recovery = manager
-
-    perf_before = PERF.snapshot()
-    asyncio.run(runtime.run(shells, timeout))
-
-    decided = [s.pid for s in shells if s.done]
-    crashed = [s.pid for s in shells if s.crashed]
-    undecided_alive = [
-        s.pid for s in shells
-        if s.alive and not s.done and not s.ever_crashed
-        and s.pid not in plan.byzantine
-    ]
-    if require_all_fault_free_decide and undecided_alive:
-        raise SimulationError(
-            f"non-crashed processes ended undecided: {undecided_alive}"
-        )
-    for shell in shells:
-        trace = getattr(shell.core, "trace", None)
-        if trace is not None:
-            trace.sends_in_round = dict(shell.protocol_sends)
-            trace.crash_fired_round = shell.crash_fired_round
-    return SimulationReport(
-        delivery_steps=runtime.delivered,
-        messages_sent=transport.messages_sent,
-        messages_delivered=runtime.delivered,
-        decided=decided,
-        crashed=crashed,
-        undecided_alive=undecided_alive,
-        perf_counters=PERF.diff(perf_before),
-        recovered=list(manager.revived) if manager is not None else [],
-    )
+    try:
+        asyncio.run(runtime.run(timeout))
+        return harness.finish(require_all_fault_free_decide)
+    finally:
+        runtime.harness = None
 
 
 def run_asyncio_consensus(
@@ -390,65 +178,32 @@ def run_asyncio_consensus(
     seed: int = 0,
     max_delay: float = 0.001,
     input_bounds: tuple[float, float] | None = None,
-    link_faults: LinkFaultPlan | None = None,
-    step_seconds: float | None = None,
     timeout: float = 120.0,
     checkpoint_store=None,
     algorithm: str = "cc",
 ):
     """Full Algorithm CC (or BCC) run on the asyncio runtime; returns a CCResult."""
-    from ..core.runner import CCResult, build_config, cc_core_factory
-    from ..core.algorithm_bcc import BCCProcess
-    from ..core.algorithm_cc import CCProcess
-    from .tracing import ExecutionTrace, ProcessTrace
+    from ..core.runner import run_consensus
 
-    if algorithm not in ("cc", "bcc"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'cc' or 'bcc'")
-    arr = np.asarray(inputs, dtype=float)
-    plan = fault_plan or FaultPlan.none()
-    if algorithm == "bcc" and plan.recoveries:
-        raise ValueError("algorithm='bcc' does not support crash-recovery plans")
-    config = build_config(
-        arr,
+    def simulate(cores, plan, core_factory, on_deliver):
+        return run_asyncio_simulation(
+            cores,
+            plan,
+            seed=seed,
+            max_delay=max_delay,
+            timeout=timeout,
+            checkpoint_store=checkpoint_store,
+            core_factory=core_factory,
+        )
+
+    return run_consensus(
+        inputs,
         f,
         eps,
+        simulate,
+        fault_plan=fault_plan,
         input_bounds=input_bounds,
-        fault_model="byzantine" if algorithm == "bcc" else "crash",
-    )
-    traces = [
-        ProcessTrace(pid=i, input_point=arr[i].copy()) for i in range(config.n)
-    ]
-    core_cls = BCCProcess if algorithm == "bcc" else CCProcess
-    cores = [
-        core_cls(pid=i, config=config, input_point=arr[i], trace=traces[i])
-        for i in range(config.n)
-    ]
-    factory = (
-        cc_core_factory(config, arr, traces) if plan.recoveries else None
-    )
-    report = run_asyncio_simulation(
-        cores,
-        fault_plan=plan,
-        seed=seed,
-        max_delay=max_delay,
-        link_faults=link_faults,
-        step_seconds=step_seconds,
-        timeout=timeout,
-        checkpoint_store=checkpoint_store,
-        core_factory=factory,
-    )
-    trace = ExecutionTrace(
-        n=config.n,
-        f=config.f,
-        dim=config.dim,
-        eps=config.eps,
-        t_end=config.t_end,
-        fault_plan=plan,
+        algorithm=algorithm,
         seed=seed,
         scheduler_name="asyncio",
-        processes=traces,
-        messages_sent=report.messages_sent,
-        messages_delivered=report.messages_delivered,
-        delivery_steps=report.delivery_steps,
     )
-    return CCResult(config=config, trace=trace, report=report)

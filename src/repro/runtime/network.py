@@ -159,19 +159,6 @@ class Network:
     def has_ready(self) -> bool:
         return bool(self._ready)
 
-    def pending_heads(self, alive_destinations: set[int]) -> list[Envelope]:
-        """Channel heads whose destination is in ``alive_destinations``.
-
-        Caller-supplied-liveness variant kept for the lockstep driver and
-        direct tests; it scans only the non-empty channels.  The
-        simulator's hot loop uses :meth:`ready_view` instead.
-        """
-        return [
-            self._channels[key].head
-            for key in sorted(self._nonempty)
-            if key[1] in alive_destinations
-        ]
-
     def deliver(self, env: Envelope) -> Envelope:
         key = (env.src, env.dst)
         channel = self._channels[key]

@@ -2,9 +2,8 @@
 
 The paper's model is crash-stop; the :class:`~repro.runtime.faults.
 RecoverySpec` axis extends it with processes that come back.  This module
-is the one place the semantics of a revival live, shared by all four
-runtimes (discrete-event simulator, transport simulation, lockstep,
-asyncio):
+is the one place the semantics of a revival live, shared by every
+runtime through the :class:`~repro.runtime.simulator.RunHarness`:
 
 * a crash with a recovery spec schedules a revival ``recover_at``
   application-level delivery steps later;
@@ -18,10 +17,10 @@ asyncio):
 * a ``late-join`` revival swaps in a fresh core but never calls
   ``on_start``: a passive listener.
 
-The manager never touches a runtime's delivery loop.  Drivers call
+The manager never touches a runtime's delivery loop.  The harness calls
 :meth:`note_crash` when a shell's crash spec fires, :meth:`due` /
 :meth:`pop_earliest` to learn which revivals to execute, and
-:meth:`revive` to execute one.  A driver with no recovery specs never
+:meth:`revive` to execute one.  A run with no recovery specs never
 constructs a manager at all — the historical crash-stop path stays
 bit-identical.
 """
@@ -53,7 +52,6 @@ class RecoveryManager:
         *,
         core_factory: CoreFactory,
         store=None,
-        network=None,
     ):
         if plan.recoveries and core_factory is None:
             raise ValueError(
@@ -64,7 +62,6 @@ class RecoveryManager:
         self.shells = shells
         self.core_factory = core_factory
         self.store = store
-        self.network = network
         #: (due_step, pid), sorted — the schedule of pending revivals.
         self._pending: list[tuple[int, int]] = []
         self._scheduled: set[int] = set()
@@ -109,8 +106,7 @@ class RecoveryManager:
 
         Resolves the effective durability (durable degrades to amnesia
         when no checkpoint survived), records the recovery on the
-        process's trace, swaps the replacement core into the shell, and
-        re-opens the process's inbound channels on structural networks.
+        process's trace, and swaps the replacement core into the shell.
         """
         shell = self.shells[pid]
         spec = self.plan.recovery_spec(pid)
@@ -129,8 +125,6 @@ class RecoveryManager:
             trace.note_recovery(step, mode, restarted)
         core = self.core_factory(pid, data)
         shell.revive(core, restart=(mode == AMNESIA))
-        if self.network is not None:
-            self.network.mark_recovered(pid)
         self.revived.append(pid)
         PERF.process_recoveries += 1
         if restarted:

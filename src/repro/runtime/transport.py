@@ -51,28 +51,26 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from ..geometry.cache import PERF
 from .channel import ChannelError
-from .faults import FaultPlan, LinkFaultPlan, LinkFaultSpec
+from .faults import LinkFaultPlan, LinkFaultSpec
 from .messages import Payload
-from .process import ProcessShell, ProtocolCore
-from .scheduler import Scheduler, default_scheduler
-from .simulator import SimulationError, SimulationReport
+from .scheduler import Scheduler
+from .simulator import DeliveryPolicy, SimulationError, quiescence_bound
 
 #: Frame kinds on the wire.
 DATA = "data"
 ACK = "ack"
 
-#: Default fabric-clock budget.  Legal runs use O(messages) clock steps;
-#: a forever-partitioned link doubles its backoff every retry, so it
-#: burns through this budget after ~20 retransmissions per frame — the
+#: Fabric-clock budget.  Legal runs use O(messages) clock steps; a
+#: forever-partitioned link doubles its backoff every retry, so it burns
+#: through this budget after ~20 retransmissions per frame — the
 #: graceful-degradation abort is prompt, not a hang.
-DEFAULT_CLOCK_BUDGET = 1 << 24
+CLOCK_BUDGET = 1 << 24
 
-#: Default retransmission-timeout base, in fabric clock steps.
-DEFAULT_RTO_BASE = 8.0
+#: Retransmission-timeout base, in fabric clock steps.
+RTO_BASE = 8.0
 
 
 class TransportBudgetError(SimulationError):
@@ -308,16 +306,15 @@ class TransportNetwork:
         link_faults: LinkFaultPlan | None = None,
         *,
         reliable: bool = True,
-        rto_base: float = DEFAULT_RTO_BASE,
-        clock_budget: int = DEFAULT_CLOCK_BUDGET,
     ):
         self.n = n
         self.fabric = LossyFabric(n, link_faults or LinkFaultPlan())
         self.reliable = reliable
-        self.rto_base = rto_base
-        self.clock_budget = clock_budget
         self.messages_sent = 0
         self.messages_delivered = 0
+        #: ``(src, dst)`` of every payload that crossed the delivery
+        #: boundary, in order — the application-level schedule.
+        self.app_deliveries: list[tuple[int, int]] = []
         self._send_seq: dict[tuple[int, int], int] = {}
         self._unacked: dict[tuple[int, int], dict[int, _Pending]] = {}
         self._expected: dict[tuple[int, int], int] = {}
@@ -352,10 +349,6 @@ class TransportNetwork:
                 next_retry=self.fabric.clock + self._rto(link, seq, 1),
             )
         self.fabric.send(replace(frame))
-
-    @property
-    def undelivered(self) -> int:
-        return self.messages_sent - self.messages_delivered
 
     # -- receive path ------------------------------------------------------
     def on_frame(self, frame: Frame) -> list[Frame]:
@@ -419,6 +412,7 @@ class TransportNetwork:
             )
         self._boundary_seq[link] = expected + 1
         self.messages_delivered += 1
+        self.app_deliveries.append(link)
 
     def note_crashed_drop(self, frame: Frame) -> None:
         """Advance the boundary oracle past a frame its receiver slept through.
@@ -519,17 +513,17 @@ class TransportNetwork:
         """
         from ..analysis.engine import retry_delay
 
-        base = self.rto_base + 2.0 * self.fabric.in_flight
+        base = RTO_BASE + 2.0 * self.fabric.in_flight
         delay = retry_delay(f"{link[0]}->{link[1]}#{seq}", attempt, base)
         return max(1, int(math.ceil(delay)))
 
     def pump(self) -> None:
         """Fire expired retransmission timers; enforce the clock budget."""
         clock = self.fabric.clock
-        if clock > self.clock_budget:
+        if clock > CLOCK_BUDGET:
             raise TransportBudgetError(
                 f"fabric clock {clock} exceeded the delivery budget "
-                f"{self.clock_budget} with {self.total_unacked} frame(s) "
+                f"{CLOCK_BUDGET} with {self.total_unacked} frame(s) "
                 "still unacknowledged — reliable delivery is impossible "
                 "(a never-healing partition?); aborting instead of hanging"
             )
@@ -569,176 +563,88 @@ class TransportNetwork:
         self.pump()
 
 
-def run_transport_simulation(
-    cores: list[ProtocolCore],
-    fault_plan: FaultPlan | None = None,
-    scheduler: Scheduler | None = None,
-    *,
-    link_faults: LinkFaultPlan | None = None,
-    reliable_transport: bool = True,
-    max_steps: int | None = None,
-    clock_budget: int = DEFAULT_CLOCK_BUDGET,
-    rto_base: float = DEFAULT_RTO_BASE,
-    require_all_fault_free_decide: bool = True,
-    on_deliver: Callable[[], None] | None = None,
-    checkpoint_store=None,
-    core_factory=None,
-) -> SimulationReport:
-    """Drive the cores over a lossy fabric; mirror of ``run_simulation``.
+class TransportPolicy(DeliveryPolicy):
+    """Delivery policy over the lossy fabric: the scheduler picks a frame.
 
-    The scheduler now adversarially orders *frames* (data,
-    retransmissions, acks) instead of application envelopes; per-link
-    FIFO no longer holds on the wire — the transport restores it at the
-    delivery boundary.  The report's ``app_deliveries`` records the
-    application-level delivery sequence, which (by construction of the
-    reliable layer) is a legal schedule of the structural reliable
-    network — the transport-equivalence property suite replays it there
-    and demands identical decisions.
+    The scheduler adversarially orders *frames* (data, retransmissions,
+    acks) instead of application envelopes; per-link FIFO no longer holds
+    on the wire — the transport restores it at the delivery boundary.
+    ``app_deliveries`` records the application-level delivery sequence,
+    which (by construction of the reliable layer) is a legal schedule of
+    the structural reliable network — the transport-equivalence property
+    suite replays it there and demands identical decisions.
     """
-    n = len(cores)
-    plan = (fault_plan or FaultPlan.none()).validate(n)
-    sched = scheduler or default_scheduler()
-    transport = TransportNetwork(
-        n,
-        link_faults,
-        reliable=reliable_transport,
-        rto_base=rto_base,
-        clock_budget=clock_budget,
-    )
-    from .recovery import RecoveryManager, make_recovery_setup
 
-    store = make_recovery_setup(plan, checkpoint_store, core_factory)
-    from .byzantine import byzantine_engines
-
-    engines = byzantine_engines(plan, n)
-    shells = [
-        ProcessShell(
-            core,
-            transport,
-            crash_spec=plan.crash_spec(core.pid),
-            checkpoint_store=store,
-            byzantine=engines.get(core.pid),
-        )
-        for core in cores
-    ]
-    manager = (
-        RecoveryManager(plan, shells, core_factory=core_factory, store=store)
-        if plan.recoveries
-        else None
-    )
-    # App frames that reached a crashed-but-recovering endpoint: the
-    # transport acked them (channel infrastructure outlives the process),
-    # so they can never be retransmitted — park them for the revival.
-    parked: dict[int, list[Frame]] = {}
-    if max_steps is None:
-        # The simulator's quiescence bound, widened for transport
+    def __init__(
+        self,
+        n: int,
+        scheduler: Scheduler,
+        link_faults: LinkFaultPlan | None,
+        reliable: bool,
+        max_steps: int | None,
+    ):
+        self.network = TransportNetwork(n, link_faults, reliable=reliable)
+        self.scheduler = scheduler
+        # The structural quiescence bound, widened for transport
         # overhead: acks roughly double the frame count and loss/dup
         # multiply it by a small constant.
-        max_steps = 8 * (2000 * n * n * n + 100_000)
+        self.budget = 8 * quiescence_bound(n) if max_steps is None else max_steps
+        self.frames = 0
 
-    perf_before = PERF.snapshot()
-    alive = {shell.pid for shell in shells}
-    app_deliveries: list[tuple[int, int]] = []
+    def ready(self):
+        return self.network.fabric.ready_frames()
 
-    def note_crash(shell: ProcessShell) -> None:
-        if shell.crashed and shell.pid in alive:
-            alive.discard(shell.pid)
-            if manager is not None:
-                manager.note_crash(shell, len(app_deliveries))
+    def idle(self) -> bool:
+        transport = self.network
+        if not transport.has_work():
+            return False
+        transport.advance_idle()
+        return True
 
-    def revive(pid: int) -> None:
-        """Execute one revival, then replay its parked app frames."""
-        shell = manager.revive(pid, len(app_deliveries))
-        alive.add(pid)
-        if store is not None:
-            store.save("transport", transport.checkpoint())
-        for env in parked.pop(pid, []):
-            transport.deliver_to_app(env)
-            app_deliveries.append((env.src, env.dst))
-            shell.receive(env.payload, env.src)
-            if on_deliver is not None:
-                on_deliver()
-
-    for shell in shells:
-        shell.start()
-    for shell in shells:
-        note_crash(shell)
-    if on_deliver is not None:
-        on_deliver()
-
-    steps = 0
-    while True:
-        frames = transport.fabric.ready_frames()
-        if not frames:
-            if not transport.has_work():
-                if manager is not None and manager.has_pending:
-                    # Quiescence with revivals pending: fire the earliest
-                    # (the quiescence rule — see RecoverySpec docs).
-                    revive(manager.pop_earliest())
-                    continue
-                break
-            transport.advance_idle()
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise SimulationError(
-                f"no quiescence after {max_steps} frame deliveries "
-                f"(in flight={transport.fabric.in_flight}, "
-                f"sent={transport.messages_sent})"
-            )
-        frame = frames[sched.choose(frames)]
+    def step(self, frames) -> None:
+        transport = self.network
+        harness = self.harness
+        frame = frames[self.scheduler.choose(frames)]
+        self.frames += 1
         transport.fabric.deliver(frame)
         for env in transport.on_frame(frame):
-            receiver = shells[env.dst]
-            if receiver.crashed:
+            if harness.shells[env.dst].crashed:
                 # Old-network semantics: messages addressed to a crashed
                 # process stay undelivered at the application layer (the
                 # transport still acknowledged the frame).  A recovering
                 # endpoint gets them replayed at revival; a crash-stop
                 # endpoint retires them at the boundary oracle.
-                if manager is not None and manager.will_recover(env.dst):
-                    parked.setdefault(env.dst, []).append(env)
-                else:
+                if not harness.park(env):
                     transport.note_crashed_drop(env)
                 continue
             transport.deliver_to_app(env)
-            app_deliveries.append((env.src, env.dst))
-            receiver.receive(env.payload, env.src)
-            note_crash(receiver)
-            if manager is not None:
-                for pid in manager.due(len(app_deliveries)):
-                    revive(pid)
-            if on_deliver is not None:
-                on_deliver()
-        if store is not None:
-            store.save("transport", transport.checkpoint())
+            harness.settle(harness.deliver(env.dst, env.payload, env.src))
+        self._save_channels()
         transport.pump()
 
-    decided = [s.pid for s in shells if s.done]
-    crashed = [s.pid for s in shells if s.crashed]
-    undecided_alive = [
-        s.pid for s in shells
-        if s.alive and not s.done and not s.ever_crashed
-        and s.pid not in plan.byzantine
-    ]
-    if require_all_fault_free_decide and undecided_alive:
-        raise SimulationError(
-            f"non-crashed processes ended undecided: {undecided_alive}"
+    def stalled(self) -> str:
+        transport = self.network
+        return (
+            f"no quiescence after {self.budget} frame deliveries "
+            f"(in flight={transport.fabric.in_flight}, "
+            f"sent={transport.messages_sent})"
         )
-    report = SimulationReport(
-        delivery_steps=steps,
-        messages_sent=transport.messages_sent,
-        messages_delivered=transport.messages_delivered,
-        decided=decided,
-        crashed=crashed,
-        undecided_alive=undecided_alive,
-        perf_counters=PERF.diff(perf_before),
-        app_deliveries=tuple(app_deliveries),
-        recovered=list(manager.revived) if manager is not None else [],
-    )
-    for shell in shells:
-        trace = getattr(shell.core, "trace", None)
-        if trace is not None:
-            trace.sends_in_round = dict(shell.protocol_sends)
-            trace.crash_fired_round = shell.crash_fired_round
-    return report
+
+    @property
+    def delivery_steps(self) -> int:
+        return self.frames
+
+    @property
+    def app_deliveries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.network.app_deliveries)
+
+    def revived(self, pid: int) -> None:
+        self._save_channels()
+
+    def admit(self, frame: Frame) -> None:
+        self.network.deliver_to_app(frame)
+
+    def _save_channels(self) -> None:
+        store = self.harness.store
+        if store is not None:
+            store.save("transport", self.network.checkpoint())

@@ -205,3 +205,19 @@ class TestInterface:
                 input_point=inputs_1d[0],
                 trace=ProcessTrace(pid=0, input_point=inputs_1d[0].copy()),
             )
+
+
+@pytest.mark.parametrize("entry", ["simulator", "lockstep", "asyncio"])
+def test_every_entry_point_checks_the_byzantine_bound(entry):
+    from repro.runtime.asyncio_runtime import run_asyncio_consensus
+    from repro.runtime.lockstep import run_lockstep_consensus
+
+    run = {
+        "simulator": run_convex_hull_consensus,
+        "lockstep": run_lockstep_consensus,
+        "asyncio": run_asyncio_consensus,
+    }[entry]
+    inputs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(7, 2))
+    plan = FaultPlan.byzantine_at([5, 6])
+    with pytest.raises(ValueError, match="2 Byzantine processes exceed"):
+        run(inputs, 1, 0.4, fault_plan=plan, algorithm="bcc")

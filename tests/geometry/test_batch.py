@@ -8,14 +8,11 @@ from repro.geometry.batch import (
     batch_directed_hausdorff,
     batch_disagreement_diameter,
     batch_enabled,
-    batch_feasibility,
     batch_hausdorff_distance,
-    batch_linear_combination,
     batch_override,
     set_batch_enabled,
 )
 from repro.geometry.cache import PERF
-from repro.geometry.combination import linear_combination
 from repro.geometry.errors import DimensionMismatchError, EmptyPolytopeError
 from repro.geometry.hausdorff import (
     directed_hausdorff,
@@ -76,31 +73,12 @@ class TestPolytopeBatch:
     def test_segments_roundtrip(self):
         polys = random_polys(5, 3, seed=0)
         batch = PolytopeBatch(polys)
-        assert len(batch) == 5
         assert batch.dim == 3
         assert batch.offsets[0] == 0
         assert batch.offsets[-1] == batch.stacked.shape[0]
         for i, poly in enumerate(polys):
-            assert batch.member(i) is poly
-            assert np.array_equal(batch.segment(i), poly.vertices)
-        assert np.array_equal(
-            batch.vertex_counts, [p.num_vertices for p in polys]
-        )
-
-    def test_bounding_boxes_match_members(self):
-        polys = random_polys(4, 2, seed=1)
-        lowers, uppers = PolytopeBatch(polys).bounding_boxes()
-        for i, poly in enumerate(polys):
-            assert np.array_equal(lowers[i], poly.vertices.min(axis=0))
-            assert np.array_equal(uppers[i], poly.vertices.max(axis=0))
-
-    def test_supports_match_members(self):
-        polys = random_polys(4, 3, seed=2)
-        batch = PolytopeBatch(polys)
-        direction = np.array([1.0, -2.0, 0.5])
-        sup = batch.supports(direction)
-        for i, poly in enumerate(polys):
-            assert sup[i] == (poly.vertices @ direction).max()
+            segment = batch.stacked[batch.offsets[i] : batch.offsets[i + 1]]
+            assert np.array_equal(segment, poly.vertices)
 
     def test_rejects_empty_and_mixed_dims(self):
         with pytest.raises(ValueError):
@@ -109,11 +87,6 @@ class TestPolytopeBatch:
             PolytopeBatch([square(), ConvexPolytope.empty(2)])
         with pytest.raises(DimensionMismatchError):
             PolytopeBatch([square(), ConvexPolytope.from_interval(0, 1)])
-
-    def test_supports_dimension_mismatch(self):
-        batch = PolytopeBatch([square()])
-        with pytest.raises(DimensionMismatchError):
-            batch.supports([1.0, 0.0, 0.0])
 
 
 class TestBatchHausdorff:
@@ -168,60 +141,3 @@ class TestBatchHausdorff:
             assert disagreement_diameter([a, b]) == disagreement_diameter_scalar(
                 [a, b]
             )
-
-
-class TestBatchCombination:
-    def test_dedup_and_fanout(self):
-        polys = random_polys(4, 2, seed=5)
-        jobs = [
-            (polys[:2], [0.5, 0.5]),
-            (polys[:2], [0.5, 0.5]),  # duplicate job
-            (polys[2:], [0.25, 0.75]),
-        ]
-        before_unique = PERF.batch_combination_unique
-        out = batch_linear_combination(jobs)
-        assert PERF.batch_combination_unique - before_unique == 2
-        assert out[0] is out[1]
-        ref = linear_combination(polys[:2], [0.5, 0.5])
-        assert np.array_equal(out[0].vertices, ref.vertices)
-        ref2 = linear_combination(polys[2:], [0.25, 0.75])
-        assert np.array_equal(out[2].vertices, ref2.vertices)
-
-    def test_empty_job_list(self):
-        assert batch_linear_combination([]) == []
-
-
-class TestBatchFeasibility:
-    def _box(self, d, half=1.0):
-        """{|x_i| <= half}: A x <= b with 2d rows."""
-        a = np.vstack([np.eye(d), -np.eye(d)])
-        b = np.full(2 * d, half)
-        return a, b
-
-    def _infeasible(self, d):
-        """x_0 <= -1 and -x_0 <= -1 (x_0 >= 1): empty."""
-        a = np.zeros((2, d))
-        a[0, 0] = 1.0
-        a[1, 0] = -1.0
-        return a, np.array([-1.0, -1.0])
-
-    def test_all_feasible_uses_one_stacked_lp(self):
-        before = PERF.batch_lp_stacked
-        res = batch_feasibility([self._box(3) for _ in range(5)])
-        assert res == [True] * 5
-        assert PERF.batch_lp_stacked == before + 1
-
-    def test_mixed_falls_back_per_system(self):
-        systems = [self._box(2), self._infeasible(2), self._box(2)]
-        before = PERF.batch_lp_fallbacks
-        res = batch_feasibility(systems)
-        assert res == [True, False, True]
-        assert PERF.batch_lp_fallbacks > before
-
-    def test_trivial_and_empty_inputs(self):
-        assert batch_feasibility([]) == []
-        assert batch_feasibility([(np.zeros((0, 3)), np.zeros(0))]) == [True]
-
-    def test_single_system(self):
-        assert batch_feasibility([self._infeasible(2)]) == [False]
-        assert batch_feasibility([self._box(2)]) == [True]

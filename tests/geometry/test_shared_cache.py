@@ -21,14 +21,12 @@ from repro.geometry.polytope import ConvexPolytope
 from repro.geometry.shared_cache import (
     content_key,
     load_arrays,
-    load_float,
     load_polytope,
     reset_written_keys,
     set_shared_cache_dir,
     shared_cache_dir,
     shared_cache_enabled,
     store_arrays,
-    store_float,
     store_polytope,
 )
 
@@ -121,11 +119,6 @@ class TestRoundTrips:
         store_polytope(key2, empty)
         back2 = load_polytope(key2)
         assert back2.is_empty and back2.dim == 3
-
-    def test_float(self, cache_dir):
-        key = content_key("f", [np.array([2.0])])
-        store_float(key, 0.1 + 0.2)
-        assert load_float(key) == 0.1 + 0.2  # exact bits, not approx
 
     def test_append_only(self, cache_dir):
         key = content_key("a", [np.zeros(2)])

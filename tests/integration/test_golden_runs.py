@@ -1,0 +1,163 @@
+"""Golden-digest regression: one seeded run per delivery policy.
+
+Each scenario pins the SHA-256 digest of every decided polytope plus the
+run report's counters, so any change to the delivery loop that perturbs
+a schedule — one extra scheduler draw, one crash noted a step late, one
+revival fired out of order — fails here bit-for-bit.  The values were
+recorded before the runtimes were merged into one loop; they must only
+change together with a deliberate, documented change of semantics.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core.runner import run_convex_hull_consensus
+from repro.runtime.channel import ChannelError
+from repro.runtime.faults import AMNESIA, DURABLE, FaultPlan, LinkFaultPlan
+from repro.runtime.lockstep import run_lockstep_consensus
+from repro.workloads import gaussian_cluster
+
+
+def decision_digest(result) -> str:
+    digest = hashlib.sha256()
+    for pid, poly in sorted(result.trace.outputs().items()):
+        digest.update(pid.to_bytes(4, "little"))
+        digest.update(
+            np.ascontiguousarray(poly.vertices, dtype=np.float64).tobytes()
+        )
+    return digest.hexdigest()
+
+
+def fingerprint(result) -> dict:
+    report = result.report
+    return {
+        "digest": decision_digest(result),
+        "delivery_steps": report.delivery_steps,
+        "messages_sent": report.messages_sent,
+        "messages_delivered": report.messages_delivered,
+        "recovered": list(report.recovered),
+        "app_deliveries": len(report.app_deliveries),
+    }
+
+
+def structural_cc_crash():
+    inputs = gaussian_cluster(6, 2, seed=11)
+    plan = FaultPlan.crash_at({5: (1, 2)})
+    return run_convex_hull_consensus(inputs, 1, 0.3, fault_plan=plan, seed=4)
+
+
+def structural_bcc_equivocate():
+    inputs = gaussian_cluster(7, 2, seed=12)
+    plan = FaultPlan.byzantine_at([6], behaviors=("equivocate",), seed=3)
+    return run_convex_hull_consensus(
+        inputs, 1, 0.4, fault_plan=plan, seed=5, algorithm="bcc"
+    )
+
+
+def structural_amnesia_recovery():
+    inputs = gaussian_cluster(5, 2, seed=16)
+    plan = FaultPlan.crash_recover({2: (0, 3, 25)}, durability=AMNESIA)
+    return run_convex_hull_consensus(inputs, 1, 0.3, fault_plan=plan, seed=8)
+
+
+def transport_durable_recovery():
+    inputs = gaussian_cluster(5, 1, seed=13)
+    plan = FaultPlan.crash_recover({4: (1, 1, 40)}, durability=DURABLE)
+    return run_convex_hull_consensus(
+        inputs,
+        1,
+        0.3,
+        fault_plan=plan,
+        seed=6,
+        link_faults=LinkFaultPlan.uniform(loss=0.1, seed=2),
+    )
+
+
+def lockstep_amnesia_recovery():
+    inputs = gaussian_cluster(5, 1, seed=14)
+    plan = FaultPlan.crash_recover({3: (1, 2, 10)}, durability=AMNESIA)
+    return run_lockstep_consensus(inputs, 1, 0.3, fault_plan=plan)
+
+
+def raw_transport_error() -> str:
+    inputs = gaussian_cluster(5, 1, seed=15)
+    with pytest.raises(ChannelError) as info:
+        run_convex_hull_consensus(
+            inputs,
+            1,
+            0.3,
+            seed=7,
+            link_faults=LinkFaultPlan.uniform(loss=0.2, seed=3),
+            reliable_transport=False,
+        )
+    return str(info.value)
+
+
+GOLDEN = {
+    "structural_cc_crash": {
+        "digest": "d811c37b2f9cee2db6d0d5df8bd1a18731dab74e39df9c2bf2b0ab51b88223ee",
+        "delivery_steps": 573,
+        "messages_sent": 662,
+        "messages_delivered": 573,
+        "recovered": [],
+        "app_deliveries": 0,
+    },
+    "structural_bcc_equivocate": {
+        "digest": "acc9203f14d77bdb97b15dd1791fe3b83b7e0631b21462ff8a4599861c0d07de",
+        "delivery_steps": 12936,
+        "messages_sent": 12936,
+        "messages_delivered": 12936,
+        "recovered": [],
+        "app_deliveries": 0,
+    },
+    "structural_amnesia_recovery": {
+        "digest": "3bd1414a146ac6040805705c7758073888fdd6e6125f198929bcc494061bb6cd",
+        "delivery_steps": 403,
+        "messages_sent": 403,
+        "messages_delivered": 403,
+        "recovered": [2],
+        "app_deliveries": 0,
+    },
+    "transport_durable_recovery": {
+        "digest": "1d6ed453ff971013af07d9c51be672f0b41b161b3dae1bd0c6fec8c157f27367",
+        "delivery_steps": 1264,
+        "messages_sent": 417,
+        "messages_delivered": 417,
+        "recovered": [4],
+        "app_deliveries": 417,
+    },
+    "lockstep_amnesia_recovery": {
+        "digest": "0a4cafa31e02c6134da470090b6e5badb5478e31c25e3991b2a4dd872a48d695",
+        "delivery_steps": 382,
+        "messages_sent": 382,
+        "messages_delivered": 382,
+        "recovered": [3],
+        "app_deliveries": 0,
+    },
+}
+
+RAW_TRANSPORT_ERROR = (
+    "channel 3->0: transport handed the application seq 1, expected 0 "
+    "(reliable FIFO exactly-once contract violated)"
+)
+
+SCENARIOS = {
+    "structural_cc_crash": structural_cc_crash,
+    "structural_bcc_equivocate": structural_bcc_equivocate,
+    "structural_amnesia_recovery": structural_amnesia_recovery,
+    "transport_durable_recovery": transport_durable_recovery,
+    "lockstep_amnesia_recovery": lockstep_amnesia_recovery,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_run(name):
+    assert fingerprint(SCENARIOS[name]()) == GOLDEN[name]
+
+
+def test_golden_raw_transport_error():
+    assert raw_transport_error() == RAW_TRANSPORT_ERROR

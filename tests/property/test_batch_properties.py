@@ -17,12 +17,9 @@ from hypothesis.extra import numpy as hnp
 from repro.geometry.batch import (
     batch_directed_hausdorff,
     batch_disagreement_diameter,
-    batch_feasibility,
     batch_hausdorff_distance,
     batch_override,
 )
-from scipy.optimize import linprog
-
 from repro.geometry.hausdorff import (
     directed_hausdorff,
     directed_hausdorff_scalar,
@@ -141,40 +138,3 @@ class TestDispatchIdentity:
         assert d_on == d_off
         assert h_on == h_off
         assert dd_on == dd_off
-
-
-class TestFeasibilityAgreement:
-    """batch_feasibility verdicts match independent per-system LP probes."""
-
-    @staticmethod
-    def _probe(a, b):
-        res = linprog(
-            np.zeros(a.shape[1]),
-            A_ub=a,
-            b_ub=b,
-            bounds=[(None, None)] * a.shape[1],
-            method="highs",
-        )
-        return bool(res.success)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_systems(self, seed):
-        rng = np.random.default_rng(seed + 900)
-        systems = []
-        expected = []
-        for _ in range(6):
-            d = int(rng.integers(2, 4))
-            if rng.random() < 0.5:
-                # Random halfspaces through a known interior point: feasible.
-                a = rng.normal(size=(int(rng.integers(1, 6)), d))
-                x0 = rng.normal(size=d)
-                b = a @ x0 + rng.uniform(0.1, 1.0, size=a.shape[0])
-            else:
-                # x_0 >= 1 and x_0 <= -1: infeasible.
-                a = np.zeros((2, d))
-                a[0, 0] = 1.0
-                a[1, 0] = -1.0
-                b = np.array([-1.0, -1.0])
-            systems.append((a, b))
-            expected.append(self._probe(a, b))
-        assert batch_feasibility(systems) == expected

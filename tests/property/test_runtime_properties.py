@@ -44,14 +44,14 @@ def test_network_fifo_and_exactly_once(n, ops, seed):
             sent.setdefault((src, dst), []).append(counter)
             counter += 1
         if deliver_now:
-            heads = net.pending_heads(set(range(n)))
+            heads = net.ready_heads()
             if heads:
                 env = heads[int(rng.integers(0, len(heads)))]
                 net.deliver(env)
                 delivered.setdefault((env.src, env.dst), []).append(env.seq)
     # Drain everything.
     while True:
-        heads = net.pending_heads(set(range(n)))
+        heads = net.ready_heads()
         if not heads:
             break
         env = heads[int(rng.integers(0, len(heads)))]

@@ -14,7 +14,7 @@ class TestNetwork:
     def test_send_and_deliver(self):
         net = Network(3)
         net.send(0, 1, _payload(), send_round=0)
-        heads = net.pending_heads({0, 1, 2})
+        heads = net.ready_heads()
         assert len(heads) == 1
         env = net.deliver(heads[0])
         assert env.src == 0 and env.dst == 1
@@ -26,7 +26,7 @@ class TestNetwork:
             net.send(0, 1, _payload(i), send_round=0)
         seqs = []
         while True:
-            heads = net.pending_heads({0, 1})
+            heads = net.ready_heads()
             if not heads:
                 break
             env = net.deliver(heads[0])
@@ -42,14 +42,15 @@ class TestNetwork:
         net = Network(3)
         net.send(0, 1, _payload(), send_round=0)
         net.send(0, 2, _payload(), send_round=0)
-        heads = net.pending_heads({0, 2})
-        assert all(env.dst == 2 for env in heads)
+        net.mark_crashed(1)
+        heads = net.ready_heads()
+        assert heads and all(env.dst == 2 for env in heads)
 
     def test_deliver_non_head_rejected(self):
         net = Network(2)
         net.send(0, 1, _payload(0), send_round=0)
         net.send(0, 1, _payload(1), send_round=0)
-        heads = net.pending_heads({0, 1})
+        heads = net.ready_heads()
         env0 = net.deliver(heads[0])
         assert env0.seq == 0
         # Grab the new head, then try to re-deliver a stale envelope object.

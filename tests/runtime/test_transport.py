@@ -15,8 +15,8 @@ from repro.runtime.transport import (
     LossyFabric,
     TransportBudgetError,
     TransportNetwork,
-    run_transport_simulation,
 )
+from repro.runtime.simulator import run_simulation
 
 
 def make_cores(n=4, d=1, f=1, eps=0.5, seed=0):
@@ -181,8 +181,10 @@ class TestTransportNetwork:
 
 class TestRunTransportSimulation:
     def test_perfect_fabric_decides(self):
-        report = run_transport_simulation(
-            make_cores(), scheduler=RandomScheduler(seed=1)
+        report = run_simulation(
+            make_cores(),
+            scheduler=RandomScheduler(seed=1),
+            link_faults=LinkFaultPlan(),
         )
         assert sorted(report.decided) == [0, 1, 2, 3]
         assert report.messages_delivered == report.messages_sent
@@ -192,7 +194,7 @@ class TestRunTransportSimulation:
         plan = LinkFaultPlan.uniform(
             loss=0.3, dup=0.2, delay=3, reorder=0.3, seed=7
         )
-        report = run_transport_simulation(
+        report = run_simulation(
             make_cores(seed=2),
             scheduler=RandomScheduler(seed=1),
             link_faults=plan,
@@ -207,7 +209,7 @@ class TestRunTransportSimulation:
 
     def test_crash_semantics_preserved(self):
         plan = LinkFaultPlan.uniform(loss=0.2, seed=3)
-        report = run_transport_simulation(
+        report = run_simulation(
             make_cores(n=4),
             FaultPlan.crash_at({3: (0, 2)}),
             RandomScheduler(seed=5),
@@ -220,7 +222,7 @@ class TestRunTransportSimulation:
         plan = LinkFaultPlan.uniform(loss=0.25, dup=0.1, delay=2, seed=13)
 
         def once():
-            return run_transport_simulation(
+            return run_simulation(
                 make_cores(seed=4),
                 scheduler=RandomScheduler(seed=2),
                 link_faults=plan,
@@ -245,7 +247,7 @@ class TestRunTransportSimulation:
     def test_raw_mode_trips_the_oracle(self):
         plan = LinkFaultPlan.uniform(loss=0.3, seed=5)
         with pytest.raises(ChannelError):
-            run_transport_simulation(
+            run_simulation(
                 make_cores(),
                 scheduler=RandomScheduler(seed=1),
                 link_faults=plan,
@@ -254,7 +256,7 @@ class TestRunTransportSimulation:
 
     def test_healing_partition_decides_and_counts_heals(self):
         plan = LinkFaultPlan.isolate([0], 4, start=0, heal=200, seed=1)
-        report = run_transport_simulation(
+        report = run_simulation(
             make_cores(seed=6),
             scheduler=RandomScheduler(seed=3),
             link_faults=plan,
@@ -265,16 +267,13 @@ class TestRunTransportSimulation:
     def test_forever_partition_aborts_promptly(self):
         plan = LinkFaultPlan.isolate([0], 4, start=0, heal=None, seed=1)
         with pytest.raises(TransportBudgetError):
-            run_transport_simulation(
+            run_simulation(
                 make_cores(seed=6),
                 scheduler=RandomScheduler(seed=3),
                 link_faults=plan,
-                clock_budget=50_000,
             )
 
     def test_run_simulation_delegates(self):
-        from repro.runtime.simulator import run_simulation
-
         plan = LinkFaultPlan.uniform(loss=0.2, seed=21)
         report = run_simulation(
             make_cores(seed=8),

@@ -26,8 +26,8 @@ from repro.runtime.transport import (
     ACK,
     TransportNetwork,
     frame_checksum,
-    run_transport_simulation,
 )
+from repro.runtime.simulator import run_simulation
 
 
 def _payload(tag=0.0):
@@ -186,6 +186,6 @@ class TestRawModeControl:
         ]
         link = LinkFaultPlan(default=LinkFaultSpec(corrupt=0.3), seed=1)
         with pytest.raises(ChannelError):
-            run_transport_simulation(
+            run_simulation(
                 cores, link_faults=link, reliable_transport=False
             )
