@@ -87,6 +87,8 @@ class CCProcess(ProtocolCore):
         # Per-round buffers of received (h, j, t) messages; sender -> polytope.
         self._round_buffer: dict[int, dict[int, ConvexPolytope]] = {}
         self._frozen_rounds: set[int] = set()
+        # Checkpoint pieces: key -> (live object, frozen JSON-ready form).
+        self._pieces: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # ProtocolCore interface
@@ -144,13 +146,33 @@ class CCProcess(ProtocolCore):
         (``json`` emits shortest-repr float64), so a restored process's
         subsequent round messages carry byte-identical vertex arrays —
         the property the durable-recovery replay test asserts.
+
+        The containers are fresh on every call; the pieces inside them —
+        each ``h_i[t]``, each buffered polytope, each sender's latest
+        view and the stable-vector result — are immutable tuples, built
+        once per live object and reused until that object is replaced.
+        Their JSON encoding equals that of the equivalent lists.
         """
         sv = self._sv
+        cache = self._pieces
+        # Rebuilt on every call, so the cache never outgrows the live state.
+        pieces: dict[tuple, tuple] = {}
 
-        def entries(view) -> list:
-            return [[list(e.value), e.sender] for e in sorted(view)]
+        def piece(key, live, build):
+            """The frozen form of ``live``, built once per live object."""
+            hit = cache.get(key)
+            if hit is None or hit[0] is not live:
+                hit = (live, build(live))
+            pieces[key] = hit
+            return hit[1]
 
-        return {
+        def entries(view) -> tuple:
+            return tuple((e.value, e.sender) for e in sorted(view))
+
+        def vertices(poly) -> tuple:
+            return freeze_vertices(poly.vertices)
+
+        data = {
             "pid": self.pid,
             "round": self._round,
             "done": self._done,
@@ -158,27 +180,31 @@ class CCProcess(ProtocolCore):
             "sv": {
                 "view": entries(sv._view),
                 "latest": {
-                    str(src): entries(view)
+                    str(src): piece(("latest", src), view, entries)
                     for src, view in sv._latest_view.items()
                 },
-                "result": entries(sv.result) if sv.result is not None else None,
+                "result": (
+                    piece(("result",), sv.result, entries)
+                    if sv.result is not None
+                    else None
+                ),
                 "broadcasts_sent": sv.broadcasts_sent,
             },
             "h": {
-                str(t): [list(v) for v in freeze_vertices(poly.vertices)]
+                str(t): piece(("h", t), poly, vertices)
                 for t, poly in self._h.items()
             },
             "round_buffer": {
                 str(t): {
-                    str(sender): [
-                        list(v) for v in freeze_vertices(poly.vertices)
-                    ]
+                    str(sender): piece(("buffer", t, sender), poly, vertices)
                     for sender, poly in buf.items()
                 }
                 for t, buf in self._round_buffer.items()
             },
             "frozen_rounds": sorted(self._frozen_rounds),
         }
+        self._pieces = pieces
+        return data
 
     @classmethod
     def from_checkpoint(

@@ -1,11 +1,16 @@
 """Durable per-process checkpoints — the state behind ``durable`` recovery.
 
 A checkpoint is a JSON-safe dict snapshotting one process's protocol
-state (see :meth:`~repro.core.algorithm_cc.CCProcess.checkpoint`) or the
-reliable transport's per-channel counters
-(:meth:`~repro.runtime.transport.TransportNetwork.checkpoint`).  Stores
-keep only the *latest* snapshot per key: recovery semantics are "resume
-from the most recent durable state", not an event log.
+state (see :meth:`~repro.core.algorithm_cc.CCProcess.checkpoint`), saved
+after every transition of that process, or the reliable transport's
+per-channel counters
+(:meth:`~repro.runtime.transport.TransportNetwork.checkpoint`), saved
+under ``"transport"`` when a crash is noted and when a revival fires.
+Stores keep only the *latest* snapshot per key: recovery semantics are
+"resume from the most recent durable state", not an event log.  A
+snapshot may share immutable pieces (tuples) with the snapshots before
+it; ``save`` encodes it to JSON on the spot, so what a store holds never
+depends on the saver's objects afterwards.
 
 Two backends:
 

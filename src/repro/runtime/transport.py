@@ -145,19 +145,33 @@ class LossyFabric:
         self.n = n
         self.plan = plan
         self.clock = 0
-        self._queues: dict[tuple[int, int], list[Frame]] = {}
+        # One queue per directed link, created up front in (src, dst)
+        # order, each paired with its resolved spec: ready_frames() walks
+        # the lanes in order instead of sorting keys and looking up specs.
+        self._queues: dict[tuple[int, int], list[Frame]] = {
+            (src, dst): []
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+        }
+        self._specs = {key: plan.spec(*key) for key in self._queues}
+        self._lanes = [
+            (queue, self._specs[key]) for key, queue in self._queues.items()
+        ]
+        self._partitioned = any(
+            spec.partitions for spec in self._specs.values()
+        )
         self._rngs: dict[tuple[int, int], object] = {}
         self._order = 0
+        self._in_flight = 0
         # Finite heal times of every partition interval on every link,
         # sorted; crossing one while advancing the clock counts a heal.
-        heals: list[int] = []
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                for _start, heal in plan.spec(src, dst).partitions:
-                    if heal is not None:
-                        heals.append(heal)
+        heals = [
+            heal
+            for spec in self._specs.values()
+            for _start, heal in spec.partitions
+            if heal is not None
+        ]
         self._pending_heals = sorted(heals, reverse=True)
 
     def _rng(self, src: int, dst: int):
@@ -177,7 +191,7 @@ class LossyFabric:
         delay and reorder) so the per-link RNG stream is consumed
         identically across replays.
         """
-        spec = self.plan.spec(frame.src, frame.dst)
+        spec = self._specs[frame.src, frame.dst]
         if spec.partitioned_at(self.clock):
             PERF.link_drops += 1
             return False
@@ -212,22 +226,24 @@ class LossyFabric:
     def _enqueue(self, frame: Frame) -> None:
         self._order += 1
         frame.order = self._order
-        queue = self._queues.setdefault((frame.src, frame.dst), [])
-        insort(queue, frame, key=lambda f: (f.release, f.order))
+        self._in_flight += 1
+        insort(
+            self._queues[frame.src, frame.dst],
+            frame,
+            key=lambda f: (f.release, f.order),
+        )
 
     def ready_frames(self) -> list[Frame]:
         """Deliverable link heads, in deterministic ``(src, dst)`` order."""
-        out = []
-        for key in sorted(self._queues):
-            queue = self._queues[key]
-            if not queue:
-                continue
-            if self.plan.spec(*key).partitioned_at(self.clock):
-                continue
-            head = queue[0]
-            if head.release <= self.clock:
-                out.append(head)
-        return out
+        clock = self.clock
+        partitioned = self._partitioned
+        return [
+            queue[0]
+            for queue, spec in self._lanes
+            if queue
+            and queue[0].release <= clock
+            and not (partitioned and spec.partitioned_at(clock))
+        ]
 
     def deliver(self, frame: Frame) -> None:
         """Remove a chosen head from its link and advance the clock."""
@@ -235,6 +251,7 @@ class LossyFabric:
         if not queue or queue[0] is not frame:
             raise ChannelError("scheduler chose a non-head frame")
         queue.pop(0)
+        self._in_flight -= 1
         self.advance_to(self.clock + 1)
 
     def advance_to(self, clock: int) -> None:
@@ -263,10 +280,10 @@ class LossyFabric:
         fabric, or only frames stuck behind never-healing partitions).
         """
         best: int | None = None
-        for key, queue in self._queues.items():
+        for queue, spec in self._lanes:
             if not queue:
                 continue
-            available = self._available_from(self.plan.spec(*key), self.clock)
+            available = self._available_from(spec, self.clock)
             if available is None:
                 continue
             candidate = max(queue[0].release, available)
@@ -276,7 +293,7 @@ class LossyFabric:
 
     @property
     def in_flight(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._in_flight
 
 
 @dataclass
@@ -319,6 +336,11 @@ class TransportNetwork:
         self._unacked: dict[tuple[int, int], dict[int, _Pending]] = {}
         self._expected: dict[tuple[int, int], int] = {}
         self._stash: dict[tuple[int, int], dict[int, Frame]] = {}
+        # A lower bound on every pending ``next_retry``: pump() has
+        # nothing to fire while the clock is below it.  Sends lower it;
+        # acks only retire timers, so it stays a bound until the next
+        # scan recomputes it.
+        self._next_deadline = math.inf
         # Independent boundary counters — the end-to-end ChannelError
         # oracle.  Deliberately not shared with ``_expected``: a bug in
         # the reassembly logic must trip the oracle, so the oracle may
@@ -343,11 +365,11 @@ class TransportNetwork:
         frame.checksum = frame_checksum(frame)
         self.messages_sent += 1
         if self.reliable:
+            next_retry = self.fabric.clock + self._rto(link, seq, 1)
             self._unacked.setdefault(link, {})[seq] = _Pending(
-                frame=frame,
-                attempt=1,
-                next_retry=self.fabric.clock + self._rto(link, seq, 1),
+                frame=frame, attempt=1, next_retry=next_retry
             )
+            self._next_deadline = min(self._next_deadline, next_retry)
         self.fabric.send(replace(frame))
 
     # -- receive path ------------------------------------------------------
@@ -446,6 +468,11 @@ class TransportNetwork:
         unacknowledged sequence numbers).  Everything a restarted
         transport endpoint needs to resume seq/ack numbering without
         violating FIFO exactly-once.
+
+        :class:`TransportPolicy` saves it under ``"transport"`` only when
+        a crash is noted and when a revival fires: the live network
+        outlives every process incarnation, so those are the only points
+        where a restarted endpoint could consult a snapshot.
         """
         links = (
             set(self._send_seq) | set(self._expected)
@@ -527,8 +554,9 @@ class TransportNetwork:
                 "still unacknowledged — reliable delivery is impossible "
                 "(a never-healing partition?); aborting instead of hanging"
             )
-        if not self.reliable:
+        if not self.reliable or clock < self._next_deadline:
             return
+        deadline = math.inf
         for link, pending in self._unacked.items():
             for seq, entry in pending.items():
                 if entry.next_retry <= clock:
@@ -536,6 +564,9 @@ class TransportNetwork:
                     PERF.retransmissions += 1
                     self.fabric.send(replace(entry.frame, attempt=entry.attempt))
                     entry.next_retry = clock + self._rto(link, seq, entry.attempt)
+                if entry.next_retry < deadline:
+                    deadline = entry.next_retry
+        self._next_deadline = deadline
 
     @property
     def total_unacked(self) -> int:
@@ -619,7 +650,6 @@ class TransportPolicy(DeliveryPolicy):
                 continue
             transport.deliver_to_app(env)
             harness.settle(harness.deliver(env.dst, env.payload, env.src))
-        self._save_channels()
         transport.pump()
 
     def stalled(self) -> str:
@@ -637,6 +667,11 @@ class TransportPolicy(DeliveryPolicy):
     @property
     def app_deliveries(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.network.app_deliveries)
+
+    # The channel snapshot is saved only where a restarted endpoint could
+    # consult it (see TransportNetwork.checkpoint).
+    def crashed(self, pid: int) -> None:
+        self._save_channels()
 
     def revived(self, pid: int) -> None:
         self._save_channels()

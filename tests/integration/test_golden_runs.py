@@ -4,8 +4,10 @@ Each scenario pins the SHA-256 digest of every decided polytope plus the
 run report's counters, so any change to the delivery loop that perturbs
 a schedule — one extra scheduler draw, one crash noted a step late, one
 revival fired out of order — fails here bit-for-bit.  The values were
-recorded before the runtimes were merged into one loop; they must only
-change together with a deliberate, documented change of semantics.
+recorded before the runtimes were merged into one loop (the full-fabric
+scenario: before the fabric ready set and the retransmit timers were
+made incremental); they must only change together with a deliberate,
+documented change of semantics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ import pytest
 
 from repro.core.runner import run_convex_hull_consensus
 from repro.runtime.channel import ChannelError
-from repro.runtime.faults import AMNESIA, DURABLE, FaultPlan, LinkFaultPlan
+from repro.runtime.faults import (
+    AMNESIA,
+    DURABLE,
+    FaultPlan,
+    LinkFaultPlan,
+    LinkFaultSpec,
+)
 from repro.runtime.lockstep import run_lockstep_consensus
 from repro.workloads import gaussian_cluster
 
@@ -41,6 +49,25 @@ def fingerprint(result) -> dict:
         "messages_delivered": report.messages_delivered,
         "recovered": list(report.recovered),
         "app_deliveries": len(report.app_deliveries),
+    }
+
+
+#: Transport counters pinned for the full-fabric scenario: they move with
+#: any change to which frames are ready, when timers fire, or when a
+#: partition heals — even when the decisions come out the same.
+FABRIC_COUNTERS = (
+    "retransmissions",
+    "ack_messages",
+    "partition_heals",
+    "corrupt_drops",
+)
+
+
+def fabric_fingerprint(result) -> dict:
+    counters = result.report.perf_counters
+    return {
+        **fingerprint(result),
+        **{name: counters.get(name, 0) for name in FABRIC_COUNTERS},
     }
 
 
@@ -74,6 +101,25 @@ def transport_durable_recovery():
         fault_plan=plan,
         seed=6,
         link_faults=LinkFaultPlan.uniform(loss=0.1, seed=2),
+    )
+
+
+def transport_full_fabric_recovery():
+    """Every fabric axis at once: dup, delay, reorder, corruption and one
+    healing partition (pid 1 cut off over clock [30, 300)), plus one
+    durable recovery."""
+    inputs = gaussian_cluster(5, 1, seed=17)
+    plan = FaultPlan.crash_recover({4: (1, 1, 40)}, durability=DURABLE)
+    links = LinkFaultPlan.isolate(
+        [1],
+        5,
+        start=30,
+        heal=300,
+        base=LinkFaultSpec(dup=0.05, delay=2, reorder=0.1, corrupt=0.05),
+        seed=5,
+    )
+    return run_convex_hull_consensus(
+        inputs, 1, 0.3, fault_plan=plan, seed=9, link_faults=links
     )
 
 
@@ -130,6 +176,18 @@ GOLDEN = {
         "recovered": [4],
         "app_deliveries": 417,
     },
+    "transport_full_fabric_recovery": {
+        "digest": "20e62259935a21e695432a9cdaeeb232269d0d27226e60036dc4639543cf6721",
+        "delivery_steps": 1241,
+        "messages_sent": 377,
+        "messages_delivered": 377,
+        "recovered": [4],
+        "app_deliveries": 377,
+        "retransmissions": 263,
+        "ack_messages": 595,
+        "partition_heals": 8,
+        "corrupt_drops": 51,
+    },
     "lockstep_amnesia_recovery": {
         "digest": "0a4cafa31e02c6134da470090b6e5badb5478e31c25e3991b2a4dd872a48d695",
         "delivery_steps": 382,
@@ -157,6 +215,13 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_run(name):
     assert fingerprint(SCENARIOS[name]()) == GOLDEN[name]
+
+
+def test_golden_full_fabric_run():
+    assert (
+        fabric_fingerprint(transport_full_fabric_recovery())
+        == GOLDEN["transport_full_fabric_recovery"]
+    )
 
 
 def test_golden_raw_transport_error():

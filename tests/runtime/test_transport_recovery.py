@@ -6,6 +6,7 @@ import pytest
 from repro.core.runner import run_convex_hull_consensus
 from repro.geometry.cache import PERF
 from repro.runtime.channel import ChannelError
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import (
     AMNESIA,
     DURABLE,
@@ -124,3 +125,67 @@ class TestRecoveryOverLossyLinks:
         report = check_all(result.trace)
         assert report.validity.ok
         assert report.agreement.ok
+
+
+class _RecordingStore(CheckpointStore):
+    """Records every save; checks each channel snapshot against the live
+    transport at the moment it is saved."""
+
+    def __init__(self, networks):
+        super().__init__()
+        self.networks = networks
+        self.cc_saves = 0
+        self.transport_saves = 0
+
+    def save(self, key, data):
+        super().save(key, data)
+        if key != "transport":
+            self.cc_saves += 1
+            return
+        self.transport_saves += 1
+        [network] = self.networks
+        assert self.load("transport") == network.checkpoint()
+
+
+class TestChannelSnapshotPoints:
+    def test_transport_saved_once_per_crash_and_revival(self, monkeypatch):
+        networks = []
+        init = TransportNetwork.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            networks.append(self)
+
+        monkeypatch.setattr(TransportNetwork, "__init__", recording_init)
+        store = _RecordingStore(networks)
+        inputs = np.random.default_rng(23).uniform(-1.0, 1.0, size=(7, 1))
+        plan = FaultPlan.crash_recover(
+            {5: (1, 3, 60), 6: (2, 5, 120)}, durability=DURABLE
+        )
+        result = run_convex_hull_consensus(
+            inputs,
+            2,
+            1.0,
+            fault_plan=plan,
+            seed=3,
+            input_bounds=(-1.0, 1.0),
+            checkpoint_store=store,
+            link_faults=LinkFaultPlan.uniform(
+                loss=0.1, dup=0.05, reorder=0.1, seed=3
+            ),
+        )
+        report = result.report
+        crashes = [
+            proc.pid for proc in result.trace.processes
+            if proc.crash_fired_round is not None
+        ]
+        assert crashes == [5, 6]
+        assert sorted(report.recovered) == [5, 6]
+        assert report.perf_counters["retransmissions"] > 0
+        assert store.transport_saves == len(crashes) + len(report.recovered)
+        # One CC save per start and per application delivery; durable
+        # revivals resume without re-running on_start.
+        assert store.cc_saves == len(inputs) + report.messages_delivered
+        assert report.perf_counters["checkpoint_saves"] == (
+            store.cc_saves + store.transport_saves
+        )
