@@ -6,7 +6,7 @@ Two claims, recorded into ``BENCH_batch.json`` at the repository root:
 * **Batched analysis makes large simulations feasible.**  The headline
   configuration runs one end-to-end pipeline — simulate an ``n=50``,
   ``d=3`` execution, then compute the full per-round convergence series —
-  under both ``REPRO_GEOMETRY_BATCH`` settings and asserts the batch
+  under both ``batch_override`` settings and asserts the batch
   path is at least 10x faster end-to-end while producing bit-identical
   rounds, disagreement values, and decision polytopes.  (At the seed's
   scalar path this analysis took ~5 s *per round* at ``n=50`` — hundreds

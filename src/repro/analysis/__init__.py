@@ -23,10 +23,8 @@ from .perf_counters import (
     PerfCounters,
     cache_hit_rate,
     cache_stats,
-    counters_dict,
     counters_since,
     measure,
-    reset_perf_counters,
     shared_cache_hit_rate,
     snapshot,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "cache_stats",
     "convergence_series",
     "cost_summary",
-    "counters_dict",
     "counters_since",
     "delta",
     "dump_trace",
@@ -84,7 +81,6 @@ __all__ = [
     "quorum_report",
     "render_series",
     "render_table",
-    "reset_perf_counters",
     "run_grid",
     "run_sweep",
     "shared_cache_hit_rate",

@@ -33,43 +33,15 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from ..geometry.batch import batch_enabled, batch_override, set_batch_enabled
-from ..geometry.cache import (
-    PERF,
-    PerfCounters,
-    cache_disabled,
-    cache_enabled,
-    cache_override,
-    cache_stats,
-    clear_geometry_caches,
-    set_cache_enabled,
-)
-from ..geometry.shared_cache import (
-    set_shared_cache_dir,
-    shared_cache_dir,
-    shared_cache_enabled,
-)
+from ..geometry.cache import PERF, PerfCounters, cache_stats
 
 __all__ = [
     "PERF",
     "PerfCounters",
-    "batch_enabled",
-    "batch_override",
-    "cache_disabled",
-    "cache_enabled",
     "cache_hit_rate",
-    "cache_override",
     "cache_stats",
-    "clear_geometry_caches",
-    "counters_dict",
     "counters_since",
     "measure",
-    "reset_perf_counters",
-    "set_batch_enabled",
-    "set_cache_enabled",
-    "set_shared_cache_dir",
-    "shared_cache_dir",
-    "shared_cache_enabled",
     "shared_cache_hit_rate",
     "snapshot",
 ]
@@ -77,7 +49,6 @@ __all__ = [
 #: Counter-name pairs (lookups, hits) for every memoized primitive.
 _HIT_PAIRS: tuple[tuple[str, str], ...] = (
     ("hull_calls", "hull_cache_hits"),
-    ("hrep_calls", "hrep_cache_hits"),
     ("subset_intersection_calls", "subset_intersection_cache_hits"),
     ("combination_calls", "combination_cache_hits"),
 )
@@ -93,20 +64,10 @@ def counters_since(earlier: PerfCounters) -> dict[str, int]:
     return PERF.diff(earlier)
 
 
-def counters_dict() -> dict[str, int]:
-    """The current global counters as a plain dict (JSON-ready)."""
-    return PERF.as_dict()
-
-
-def reset_perf_counters() -> None:
-    """Zero every global counter (cache contents are left untouched)."""
-    PERF.reset()
-
-
 def cache_hit_rate(counters: dict[str, int] | None = None) -> float:
     """Fraction of memoizable geometry calls served from the in-memory LRU.
 
-    Aggregates hull, H-rep, subset-intersection and combination lookups.
+    Aggregates hull, subset-intersection and combination lookups.
     ``counters`` defaults to the global totals; pass a delta dict (from
     :func:`counters_since` or :func:`measure`) to scope the rate to one
     measured region.  Returns 0.0 when nothing was measured.
@@ -118,7 +79,7 @@ def cache_hit_rate(counters: dict[str, int] | None = None) -> float:
     paying every cold miss itself).  Cross-worker sharing is
     :func:`shared_cache_hit_rate`.
     """
-    counts = counters if counters is not None else counters_dict()
+    counts = counters if counters is not None else PERF.as_dict()
     lookups = sum(counts.get(total, 0) for total, _ in _HIT_PAIRS)
     hits = sum(counts.get(hit, 0) for _, hit in _HIT_PAIRS)
     if lookups == 0:
@@ -138,7 +99,7 @@ def shared_cache_hit_rate(
     process wrote and later re-read past its LRU).  Returns 0.0 when the
     shared cache saw no lookups in the measured region.
     """
-    counts = counters if counters is not None else counters_dict()
+    counts = counters if counters is not None else PERF.as_dict()
     foreign = counts.get("shared_cache_hits_foreign", 0)
     local = counts.get("shared_cache_hits_local", 0)
     misses = counts.get("shared_cache_misses", 0)

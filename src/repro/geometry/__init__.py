@@ -9,7 +9,6 @@ sampling) — all on numpy/scipy, with explicit degeneracy handling.
 """
 
 from .batch import (
-    PolytopeBatch,
     batch_directed_hausdorff,
     batch_disagreement_diameter,
     batch_enabled,
@@ -20,7 +19,6 @@ from .batch import (
 from .cache import (
     PERF,
     PerfCounters,
-    cache_disabled,
     cache_enabled,
     cache_override,
     cache_stats,
@@ -128,7 +126,6 @@ __all__ = [
     "GeometryError",
     "HullComputationError",
     "InfeasibleRegionError",
-    "PolytopeBatch",
     "SolverError",
     "Tolerances",
     "affine_chart",
@@ -141,7 +138,6 @@ __all__ = [
     "batch_enabled",
     "batch_hausdorff_distance",
     "batch_override",
-    "cache_disabled",
     "cache_enabled",
     "cache_override",
     "cache_stats",

@@ -1,46 +1,42 @@
-"""Batch operations over many polytopes at once — the batch geometry core.
+"""Batched Hausdorff maximisation — the batch geometry core.
 
-Algorithm CC's cost after the PR-1 memoization layer and the PR-4 depth
-fast path is dominated by *per-polytope python loops*: the per-vertex
-Hausdorff maximisation behind every ``d_H`` evaluation (a FISTA projection
-per vertex, ~1.2M tiny numpy calls for one n=16 analysis pass).  This
-module restructures that path around **batch** inputs: a
-stacked-vertex-array + prefix-index batch type and batched
-Hausdorff-distance maximisation with certified pruning.
+Every ``d_H`` evaluation (Eq. 1) maximises a point-to-polytope distance
+over the source polytope's vertices, one FISTA projection per vertex.
+This module cuts that work without changing a single result bit:
+vertices are visited in decreasing order of a vectorized upper bound and
+the scan stops once no remaining bound can beat the best distance found,
+and :func:`batch_disagreement_diameter` evaluates each distinct pair of
+polytope contents once.
 
 Equivalence contract
 --------------------
-Every batched path is designed to return **bit-identical** results to the
-scalar oracle (the pre-existing per-polytope implementations, which stay
-in place behind ``REPRO_GEOMETRY_BATCH=0``), by one of two arguments:
+Every batched path returns **bit-identical** results to the scalar
+oracles in :mod:`repro.geometry.hausdorff` (the ``*_scalar``
+functions), by one of two arguments:
 
 * *same-kernel*: the batched path performs exactly the scalar kernel's
   floating-point operations on exactly the scalar kernel's operands —
-  redundancy collapse (dedup, caching) and vectorized bound computation
-  never change what the surviving kernel invocations compute; or
-* *certified pruning*: a maximisation skips a candidate only when a
+  content dedup never changes what the surviving kernel invocations
+  compute; or
+* *certified pruning*: a maximisation skips a vertex only when a
   certified upper bound on its value lies below an already-*achieved*
   kernel value minus a safety margin (:data:`PRUNE_MARGIN`, resolution
   orders of magnitude above the projection solver's accuracy), so the
   returned maximum is the same float the exhaustive scan produces.
 
 The seeded property suites in ``tests/property/test_batch_properties.py``
-assert exact (``==``) equality between the two paths, and CI runs the
-whole fast tier under both switch settings.
+assert exact (``==``) equality between the two paths, and the dispatch
+tests run the public entry points under both switch settings.
 
 Switch
 ------
-``REPRO_GEOMETRY_BATCH`` (default on; ``0``/``false``/``off`` disables)
-selects the batched implementations behind the public entry points in
-:mod:`repro.geometry.hausdorff`; :func:`set_batch_enabled` /
-:func:`batch_override` flip it programmatically.  The env var is re-read
-on every query so engine workers configured via the environment agree
-with their parent.
+The batch core is on by default; :func:`set_batch_enabled` /
+:func:`batch_override` route the public entry points in
+:mod:`repro.geometry.hausdorff` to the scalar oracles instead.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -52,7 +48,6 @@ from .projection import project_onto_hull
 
 __all__ = [
     "PRUNE_MARGIN",
-    "PolytopeBatch",
     "batch_directed_hausdorff",
     "batch_disagreement_diameter",
     "batch_hausdorff_distance",
@@ -69,28 +64,22 @@ __all__ = [
 #: not within a hair of the maximum.
 PRUNE_MARGIN = 1e-9
 
-_ENV_VAR = "REPRO_GEOMETRY_BATCH"
-_OFF_VALUES = ("0", "false", "off")
-
-#: Programmatic override; ``None`` defers to the environment.
-_BATCH_OVERRIDE: bool | None = None
+_BATCH_ENABLED = True
 
 
 def batch_enabled() -> bool:
     """True when public geometry entry points route to the batch core."""
-    if _BATCH_OVERRIDE is not None:
-        return _BATCH_OVERRIDE
-    return os.environ.get(_ENV_VAR, "1") not in _OFF_VALUES
+    return _BATCH_ENABLED
 
 
-def set_batch_enabled(enabled: bool | None) -> bool | None:
-    """Force the switch (``True``/``False``) or restore env control (``None``).
+def set_batch_enabled(enabled: bool | None) -> bool:
+    """Force the switch on/off (``None`` restores the default, on).
 
-    Returns the previous override for save/restore.
+    Returns the previous setting for save/restore.
     """
-    global _BATCH_OVERRIDE
-    previous = _BATCH_OVERRIDE
-    _BATCH_OVERRIDE = enabled if enabled is None else bool(enabled)
+    global _BATCH_ENABLED
+    previous = _BATCH_ENABLED
+    _BATCH_ENABLED = True if enabled is None else bool(enabled)
     return previous
 
 
@@ -102,47 +91,6 @@ def batch_override(enabled: bool) -> Iterator[None]:
         yield
     finally:
         set_batch_enabled(previous)
-
-
-# ----------------------------------------------------------------------
-# PolytopeBatch
-# ----------------------------------------------------------------------
-
-class PolytopeBatch:
-    """Many polytopes as one stacked vertex array plus prefix indices.
-
-    The batch layout is the currency of the batch core: member ``i``'s
-    vertices are ``stacked[offsets[i]:offsets[i+1]]``, so cross-member
-    vectorized operations (pairwise distance blocks) run as single numpy
-    calls over the whole population instead of per-polytope python loops.
-
-    Members must share one ambient dimension and be non-empty (the batch
-    operations below are maximisations, undefined on empty operands
-    exactly as their scalar counterparts are).
-    """
-
-    __slots__ = ("stacked", "offsets", "dim")
-
-    def __init__(self, polytopes: Sequence[ConvexPolytope]):
-        members = list(polytopes)
-        if not members:
-            raise ValueError("PolytopeBatch requires at least one polytope")
-        dim = members[0].dim
-        for poly in members:
-            if poly.dim != dim:
-                raise DimensionMismatchError("mixed dimensions in batch")
-            if poly.is_empty:
-                raise EmptyPolytopeError("empty polytope in batch")
-        counts = np.array([p.num_vertices for p in members], dtype=np.int64)
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        self.stacked = np.vstack([p.vertices for p in members])
-        self.offsets = offsets
-        self.dim = dim
-
-    def coordinate_scale(self) -> float:
-        """``max(1, max |coordinate|)`` over the whole batch (margin scaling)."""
-        return max(float(np.max(np.abs(self.stacked))), 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -218,44 +166,33 @@ def batch_hausdorff_distance(h1: ConvexPolytope, h2: ConvexPolytope) -> float:
 
 
 def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
-    """``max_{i,j} d_H(h_i, h_j)`` via batch dedup + pair bound-and-prune.
+    """``max_{i,j} d_H(h_i, h_j)`` over distinct contents only.
 
-    The scalar loop evaluates all ``k(k-1)/2`` pairs with a full per-vertex
-    projection pass each.  Here:
-
-    1. members are grouped by bit-level content; within-group pairs are
-       exactly ``0.0`` in the scalar loop, and cross-group pair values
-       depend only on the two groups' (identical) vertex arrays — so the
-       diameter over the multiset equals the diameter over one
-       representative per group;
-    2. for every representative pair a certified upper bound on ``d_H``
-       is assembled from one vectorized all-vertex distance computation
-       (the max-min vertex-set Hausdorff distance, which dominates the
-       hull distance in both directions);
-    3. pairs are evaluated in decreasing bound order with the *scalar*
-       pair kernel (via :func:`batch_hausdorff_distance`); once bounds
-       drop :data:`PRUNE_MARGIN` below the best achieved pair value the
-       scan stops.
-
-    The returned float is the one the exhaustive scalar scan produces.
+    Members are grouped by bit-level content: within-group pairs are
+    exactly ``0.0`` in the scalar loop, and cross-group pair values depend
+    only on the two groups' (identical) vertex arrays, so the diameter
+    over the multiset equals the diameter over one representative per
+    group.  Each representative pair is then evaluated with
+    :func:`batch_hausdorff_distance`, whose directed maximisations prune
+    vertices.  The returned float is the one the exhaustive scalar scan
+    produces: a maximum does not depend on the order its terms are seen.
     """
     polys = list(polytopes)
     if len(polys) < 2:
         return 0.0
     # Group bit-identical members; one representative each.
     reps: list[ConvexPolytope] = []
-    seen: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     for poly in polys:
         key = (poly.dim, array_key(poly.vertices)) if not poly.is_empty else (
             poly.dim,
             "empty",
         )
         if key not in seen:
-            seen[key] = len(reps)
+            seen.add(key)
             reps.append(poly)
     PERF.batch_hausdorff_dedup_groups += len(reps)
-    k = len(reps)
-    if k == 1:
+    if len(reps) == 1:
         # All members identical: every scalar pair evaluation returns 0.0.
         # (Empty members raise in the scalar loop; preserve that.)
         if polys[0].is_empty:
@@ -263,31 +200,11 @@ def batch_disagreement_diameter(polytopes: Sequence[ConvexPolytope]) -> float:
                 "directed Hausdorff undefined for empty polytopes"
             )
         return 0.0
-
-    batch = PolytopeBatch(reps)
-    offsets = batch.offsets
-    # One all-vertices distance matrix serves every pair's bound.
-    dm = _cross_distances(batch.stacked, batch.stacked)
-    pair_bounds: list[tuple[float, int, int]] = []
-    for i in range(k):
-        si, ei = offsets[i], offsets[i + 1]
-        for j in range(i + 1, k):
-            sj, ej = offsets[j], offsets[j + 1]
-            block = dm[si:ei, sj:ej]
-            ub = max(
-                float(block.min(axis=1).max()),  # bounds directed i -> j
-                float(block.min(axis=0).max()),  # bounds directed j -> i
-            )
-            pair_bounds.append((ub, i, j))
-    pair_bounds.sort(key=lambda t: -t[0])
-    margin = PRUNE_MARGIN * batch.coordinate_scale()
     worst = 0.0
-    for rank, (ub, i, j) in enumerate(pair_bounds):
-        if ub <= worst - margin:
-            PERF.batch_hausdorff_pair_prunes += len(pair_bounds) - rank
-            break
-        PERF.batch_hausdorff_pairs += 1
-        dist = batch_hausdorff_distance(reps[i], reps[j])
-        if dist > worst:
-            worst = dist
+    for i, first in enumerate(reps):
+        for second in reps[i + 1 :]:
+            PERF.batch_hausdorff_pairs += 1
+            dist = batch_hausdorff_distance(first, second)
+            if dist > worst:
+                worst = dist
     return worst

@@ -8,16 +8,20 @@ freezing the same ``Y_i[t]`` multiset compute the identical combination
 ``L``.  This module provides the shared machinery that collapses that
 redundancy:
 
-* :class:`LruCache` — a bounded, insertion-ordered cache with hit/miss
-  accounting, used by ``hull.py`` / ``halfspaces.py`` / ``intersection.py``
-  / ``combination.py`` / ``polytope.py`` for their memoized entry points;
+* :class:`Memo` — the one memo path.  Each memoized primitive
+  (``hull_vertices``, ``intersect_subset_hulls``, ``linear_combination``
+  and ``ConvexPolytope.from_trusted_vertices``) owns one instance and
+  routes every call through :meth:`Memo.fetch`, which does the on/off
+  check, the bounded-LRU lookup, the primitive's ``*_hits``/``*_misses``
+  counting, the read-only freeze of shared arrays, and the optional
+  shared-disk tier (:mod:`repro.geometry.shared_cache`);
 * content-addressed keys (:func:`array_key`) — a geometry value is keyed
   by the raw bytes of its float64 vertex array, so *results are shared
   if and only if the inputs are bit-identical*.  Every memoized path is
   therefore bit-identical to the unmemoized path by construction: the
   cached value was produced by the very same code on the very same bytes;
 * a global on/off switch (:func:`set_cache_enabled`,
-  :func:`cache_disabled`) for A/B benchmarking — with the switch off,
+  :func:`cache_override`) for A/B benchmarking — with the switch off,
   every memoized entry point falls through to its original computation;
 * the :class:`PerfCounters` singleton :data:`PERF` — cheap monotonic
   counters (hull calls, cache hits/misses, LP solves, Minkowski candidate
@@ -34,11 +38,10 @@ single-threaded discrete-event loop).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -65,8 +68,6 @@ class PerfCounters:
     hull_cache_hits: int = 0
     hull_cache_misses: int = 0
     hrep_calls: int = 0
-    hrep_cache_hits: int = 0
-    hrep_cache_misses: int = 0
     subset_intersection_calls: int = 0
     subset_intersection_cache_hits: int = 0
     subset_intersection_cache_misses: int = 0
@@ -82,7 +83,10 @@ class PerfCounters:
     minkowski_pairs: int = 0
     minkowski_candidates: int = 0
     # Batch-core counters (repro.geometry.batch): pruning effectiveness of
-    # the batched Hausdorff maximisation.
+    # the batched Hausdorff maximisation.  ``batch_hausdorff_pair_prunes``
+    # is never incremented: the pair-bound pass it counted pruned nothing
+    # on any measured workload and was removed; the field stays because
+    # the benchmark reports it.
     batch_hausdorff_pairs: int = 0
     batch_hausdorff_pair_prunes: int = 0
     batch_hausdorff_vertex_prunes: int = 0
@@ -147,12 +151,17 @@ class PerfCounters:
 #: The process-global counter singleton.
 PERF = PerfCounters()
 
+#: ``PERF``'s field storage.  :class:`Memo` bumps its counters here, one
+#: dict update per lookup: a getattr/setattr pair costs about as much as
+#: the LRU lookup itself on the interning hot path.
+_PERF_FIELDS = vars(PERF)
+
 
 # ----------------------------------------------------------------------
 # Global switch
 # ----------------------------------------------------------------------
 
-_ENABLED = os.environ.get("REPRO_GEOMETRY_CACHE", "1") not in ("0", "false", "off")
+_ENABLED = True
 
 
 def cache_enabled() -> bool:
@@ -170,16 +179,6 @@ def set_cache_enabled(enabled: bool) -> bool:
     previous = _ENABLED
     _ENABLED = bool(enabled)
     return previous
-
-
-@contextmanager
-def cache_disabled() -> Iterator[None]:
-    """Context manager: run a block with memoization off (A/B testing)."""
-    previous = set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
 
 
 @contextmanager
@@ -201,8 +200,8 @@ class LruCache:
 
     A thin :class:`OrderedDict` wrapper: ``get`` refreshes recency,
     ``put`` evicts the oldest entry beyond ``maxsize``.  Hit/miss
-    accounting is left to the call sites so each memoized primitive can
-    report into its own :class:`PerfCounters` fields.
+    accounting lives in the :class:`Memo` subclass, so each memoized
+    primitive reports into its own :class:`PerfCounters` fields.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, name: str = ""):
@@ -244,22 +243,71 @@ class LruCache:
 _REGISTRY: dict[str, LruCache] = {}
 
 
-def _register(name: str, maxsize: int = DEFAULT_CACHE_SIZE) -> LruCache:
-    cache = LruCache(maxsize=maxsize, name=name)
-    _REGISTRY[name] = cache
-    return cache
+class Memo(LruCache):
+    """The memo path of one geometry primitive.
+
+    An :class:`LruCache` registered under ``name`` that also owns the
+    primitive's ``{counter}_hits`` / ``{counter}_misses`` fields of
+    :data:`PERF`, the read-only freeze of array results it shares, and
+    (through :meth:`fetch`'s ``disk`` argument) the shared-disk tier.
+    """
+
+    def __init__(self, name: str, counter: str):
+        super().__init__(name=name)
+        self.hits_field = f"{counter}_hits"
+        self.misses_field = f"{counter}_misses"
+        _REGISTRY[name] = self
+
+    def fetch(
+        self,
+        key: Hashable,
+        compute: Callable[..., Any],
+        *args: Any,
+        disk: tuple[str, list, tuple] | None = None,
+    ) -> Any:
+        """``compute(*args)``, memoized under ``key`` while caching is on.
+
+        ``disk`` is ``(op, arrays, params)`` for a polytope-valued
+        primitive worth a disk round trip: on an LRU miss the shared
+        cross-worker cache is consulted under
+        ``content_key(op, arrays, params)`` before computing, and a fresh
+        result is published there.  Disk hits count as LRU misses, as
+        the disk tier keeps its own ``shared_cache_*`` counters.
+        """
+        if not _ENABLED:
+            return compute(*args)
+        value = self.get(key)
+        if value is not None:
+            _PERF_FIELDS[self.hits_field] += 1
+            return value
+        _PERF_FIELDS[self.misses_field] += 1
+        disk_key: str | None = None
+        if disk is not None:
+            from . import shared_cache  # deferred: shared_cache imports PERF
+
+            if shared_cache.shared_cache_enabled():
+                disk_key = shared_cache.content_key(*disk)
+                value = shared_cache.load_polytope(disk_key)
+                if value is not None:
+                    self.put(key, value)
+                    return value
+        value = compute(*args)
+        if isinstance(value, np.ndarray):
+            freeze_readonly(value)
+        self.put(key, value)
+        if disk_key is not None:
+            shared_cache.store_polytope(disk_key, value)
+        return value
 
 
 #: hull_vertices results: (shape, bytes of deduplicated input) -> vertex array.
-HULL_CACHE = _register("hull")
-#: hrep_of_hull results: (shape, bytes) -> (A, b) read-only arrays.
-HREP_CACHE = _register("hrep")
+HULL_CACHE = Memo("hull", "hull_cache")
 #: intersect_subset_hulls results: (shape, bytes, f) -> ConvexPolytope.
-SUBSET_CACHE = _register("subset_intersection")
-#: linear_combination results: (operand keys..., weight bytes) -> ConvexPolytope.
-COMBINATION_CACHE = _register("combination")
+SUBSET_CACHE = Memo("subset_intersection", "subset_intersection_cache")
+#: linear_combination results: (operand keys..., weights) -> ConvexPolytope.
+COMBINATION_CACHE = Memo("combination", "combination_cache")
 #: Interned trusted polytopes: (dim, shape, bytes) -> ConvexPolytope.
-POLYTOPE_CACHE = _register("polytope")
+POLYTOPE_CACHE = Memo("polytope", "polytope_intern")
 
 
 def clear_geometry_caches() -> None:

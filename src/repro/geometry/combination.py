@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import shared_cache
-from .cache import COMBINATION_CACHE, PERF, array_key, cache_enabled
+from .cache import COMBINATION_CACHE, PERF, array_key
 from .errors import DimensionMismatchError, EmptyPolytopeError
 from .hull import hull_vertices
 from .polytope import ConvexPolytope
@@ -96,44 +95,19 @@ def linear_combination(
         return _combine_1d([p for p, _ in active], np.array([c for _, c in active]))
 
     PERF.combination_calls += 1
-    if cache_enabled():
-        # Content-addressed on the ordered active operands and weights:
-        # the iterated pairwise sums below are order-sensitive in floating
-        # point, so the key must preserve operand order to stay
-        # bit-identical with the uncached path.  Processes that freeze the
-        # same (sender-sorted) ``Y_i[t]`` multiset share one computation.
-        key = (
-            dim,
-            max_intermediate_vertices,
-            tuple(array_key(poly.vertices) for poly, _ in active),
-            tuple(c for _, c in active),
-        )
-        cached = COMBINATION_CACHE.get(key)
-        if cached is not None:
-            PERF.combination_cache_hits += 1
-            return cached
-        PERF.combination_cache_misses += 1
-        # In-memory miss: consult the shared cross-worker cache before
-        # computing.  Disk entries are outputs of this very kernel on
-        # bit-identical operands (content-addressed), so a hit is the
-        # result another worker (or an earlier run) already produced.
-        disk_key: str | None = None
-        if shared_cache.shared_cache_enabled():
-            disk_key = shared_cache.content_key(
-                "linear_combination",
-                [poly.vertices for poly, _ in active],
-                params=(dim, max_intermediate_vertices, tuple(c for _, c in active)),
-            )
-            from_disk = shared_cache.load_polytope(disk_key)
-            if from_disk is not None:
-                COMBINATION_CACHE.put(key, from_disk)
-                return from_disk
-        result = _combine_minkowski(active, dim, max_intermediate_vertices)
-        COMBINATION_CACHE.put(key, result)
-        if disk_key is not None:
-            shared_cache.store_polytope(disk_key, result)
-        return result
-    return _combine_minkowski(active, dim, max_intermediate_vertices)
+    # Content-addressed on the ordered active operands and weights: the
+    # iterated pairwise sums below are order-sensitive in floating point,
+    # so the key must preserve operand order to stay bit-identical with
+    # the uncached path.  Processes that freeze the same (sender-sorted)
+    # ``Y_i[t]`` multiset share one computation, and engine workers share
+    # it through the disk tier.
+    operands = [poly.vertices for poly, _ in active]
+    coeffs = tuple(c for _, c in active)
+    return COMBINATION_CACHE.fetch(
+        (dim, max_intermediate_vertices, tuple(map(array_key, operands)), coeffs),
+        _combine_minkowski, active, dim, max_intermediate_vertices,
+        disk=("linear_combination", operands, (dim, max_intermediate_vertices, coeffs)),
+    )
 
 
 def _combine_minkowski(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from .cache import HREP_CACHE, PERF, array_key, cache_enabled, freeze_readonly
+from .cache import PERF
 from .errors import HullComputationError, InfeasibleRegionError, SolverError
 from .hull import hull_vertices
 from .linalg import AffineChart, affine_chart, as_points_array
@@ -95,32 +95,14 @@ def hrep_of_hull(points) -> tuple[np.ndarray, np.ndarray]:
     computed inside the hull's affine chart and lifted back.  A single
     point yields ``d`` equality pairs.  An empty input raises.
 
-    Results are memoized by the content of the input point array: the
-    ``C(m, f)`` subset hulls of line 5 overlap heavily across processes
-    sharing a stable-vector view, and every receiver of a broadcast
-    polytope needs the same facets.  Cached ``(A, b)`` pairs are shared
-    read-only arrays (callers that hand them out copy, see
-    :meth:`repro.geometry.polytope.ConvexPolytope.hrep`).
+    Not memoized: a polytope caches its own H-rep (see
+    :meth:`repro.geometry.polytope.ConvexPolytope.hrep`), and a
+    content-keyed cache on top of that never hit on any measured run.
     """
     pts = as_points_array(points)
     if pts.shape[0] == 0:
         raise InfeasibleRegionError("H-rep of an empty point set")
     PERF.hrep_calls += 1
-    if cache_enabled():
-        key = array_key(pts)
-        cached = HREP_CACHE.get(key)
-        if cached is not None:
-            PERF.hrep_cache_hits += 1
-            return cached
-        PERF.hrep_cache_misses += 1
-        a, b = _hrep_of_hull_uncached(pts)
-        result = (freeze_readonly(a), freeze_readonly(b))
-        HREP_CACHE.put(key, result)
-        return result
-    return _hrep_of_hull_uncached(pts)
-
-
-def _hrep_of_hull_uncached(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dim = pts.shape[1]
     verts = hull_vertices(pts)
 

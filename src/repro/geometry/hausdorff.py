@@ -13,13 +13,15 @@ So the exact Hausdorff distance reduces to finitely many point-to-polytope
 projections, which :mod:`repro.geometry.projection` solves.
 
 The public entry points dispatch to the batch core
-(:mod:`repro.geometry.batch`) when ``REPRO_GEOMETRY_BATCH`` is on (the
-default): the batched maximisation computes certified per-candidate upper
-bounds in one vectorized pass and runs the scalar projection kernel only
-on candidates that can still attain the maximum.  The scalar exhaustive
-loops stay here as the ``*_scalar`` oracles the property suites compare
-against; both paths return bit-identical floats (see the batch module's
-equivalence contract).
+(:mod:`repro.geometry.batch`) while :func:`repro.geometry.batch.batch_enabled`
+holds (the default): the batched maximisation bounds every source vertex
+in one vectorized pass and runs the projection kernel only on vertices
+that can still attain the maximum.  The scalar exhaustive loops stay here
+as the ``*_scalar`` oracles the property suites compare against; both
+paths return bit-identical floats (see the batch module's equivalence
+contract).  Every distance is exact up to the projection solver's
+tolerance, in every dimension: :func:`repro.geometry.projection.project_onto_hull`
+runs FISTA with an active-set polish, and no dimension has a closed form.
 """
 
 from __future__ import annotations

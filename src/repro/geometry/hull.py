@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import HULL_CACHE, PERF, array_key, cache_enabled, freeze_readonly
+from .cache import HULL_CACHE, PERF, array_key
 from .errors import HullComputationError
 from .linalg import affine_chart, as_points_array, deduplicate_points
 from .tolerances import ABS_TOL, RANK_TOL
@@ -137,7 +137,7 @@ def _hull_vertices_qhull(points: np.ndarray) -> np.ndarray:
     return points[hull.vertices]
 
 
-def hull_vertices(points, rank_tol: float = RANK_TOL) -> np.ndarray:
+def hull_vertices(points) -> np.ndarray:
     """Minimal vertex representation of ``conv(points)`` in any dimension.
 
     The result is an ``(m, d)`` array of the extreme points of the hull.
@@ -147,24 +147,14 @@ def hull_vertices(points, rank_tol: float = RANK_TOL) -> np.ndarray:
 
     Results are memoized by the content of the (deduplicated) input array
     (see :mod:`repro.geometry.cache`); cached results are shared read-only
-    arrays.  Non-default ``rank_tol`` calls bypass the cache.
+    arrays.
     """
     PERF.hull_calls += 1
     pts = deduplicate_points(as_points_array(points))
-    if cache_enabled() and rank_tol == RANK_TOL:
-        key = array_key(pts)
-        cached = HULL_CACHE.get(key)
-        if cached is not None:
-            PERF.hull_cache_hits += 1
-            return cached
-        PERF.hull_cache_misses += 1
-        out = freeze_readonly(_hull_vertices_uncached(pts, rank_tol))
-        HULL_CACHE.put(key, out)
-        return out
-    return _hull_vertices_uncached(pts, rank_tol)
+    return HULL_CACHE.fetch(array_key(pts), _hull_vertices_uncached, pts)
 
 
-def _hull_vertices_uncached(pts: np.ndarray, rank_tol: float) -> np.ndarray:
+def _hull_vertices_uncached(pts: np.ndarray) -> np.ndarray:
     """The actual hull computation on an already-deduplicated array."""
     m, d = pts.shape if pts.size else (0, pts.shape[1] if pts.ndim == 2 else 0)
     if m == 0:
@@ -174,14 +164,14 @@ def _hull_vertices_uncached(pts: np.ndarray, rank_tol: float) -> np.ndarray:
     if d == 1:
         return hull_vertices_1d(pts)
 
-    chart = affine_chart(pts, rank_tol=rank_tol)
+    chart = affine_chart(pts)
     k = chart.local_dim
     if k == 0:
         # All points coincide within tolerance.
         return pts[:1].copy()
     if k < d:
         local = chart.to_local(pts)
-        local_hull = hull_vertices(local, rank_tol=rank_tol)
+        local_hull = hull_vertices(local)
         return chart.to_ambient(local_hull)
     if d == 2:
         return hull_vertices_2d(pts)

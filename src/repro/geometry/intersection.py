@@ -32,9 +32,9 @@ Implementation notes
   deduplicated and handed to the same vertex enumerator.  Cost
   ``C(m, f)`` hull computations — the literal transcription of line 5,
   kept as a selectable oracle.
-* Routing: ``REPRO_SUBSET_MODE=auto`` (default) takes the depth path
-  whenever ``C(m, f) > C(m, d)``; ``depth`` / ``enumerate`` force one
-  path for A/B runs and oracle cross-checks (:func:`set_subset_mode`,
+* Routing: the ``auto`` mode (default) takes the depth path whenever
+  ``C(m, f) > C(m, d)``; ``depth`` / ``enumerate`` force one path for
+  A/B runs and oracle cross-checks (:func:`set_subset_mode`,
   :func:`subset_mode_override`).  ``f = 0`` short circuits to the plain
   hull, and rank-deficient multisets are chart-projected before either
   path runs, so both only ever see full-dimensional inputs.
@@ -45,8 +45,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
 from itertools import combinations, islice
 from math import comb
@@ -54,8 +52,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import shared_cache
-from .cache import PERF, SUBSET_CACHE, array_key, cache_enabled
+from .cache import PERF, SUBSET_CACHE, array_key
 from .errors import DegenerateInputError, InfeasibleRegionError
 from .halfspaces import (
     dedupe_halfspaces,
@@ -78,51 +75,11 @@ def subset_count(m: int, f: int) -> int:
 # ----------------------------------------------------------------------
 
 _SUBSET_MODES = ("auto", "depth", "enumerate")
-
-
-def _normalize_mode(mode: str) -> str:
-    if mode not in _SUBSET_MODES:
-        raise ValueError(
-            f"subset mode must be one of {_SUBSET_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def _mode_from_env() -> str:
-    raw = os.environ.get("REPRO_SUBSET_MODE", "auto")
-    if raw not in _SUBSET_MODES:
-        warnings.warn(
-            f"ignoring invalid REPRO_SUBSET_MODE={raw!r} "
-            f"(expected one of {_SUBSET_MODES}); using 'auto'",
-            stacklevel=2,
-        )
-        return "auto"
-    return raw
-
-
-_ENV_RAW = os.environ.get("REPRO_SUBSET_MODE")
-_SUBSET_MODE = _mode_from_env()
+_SUBSET_MODE = "auto"
 
 
 def subset_mode() -> str:
-    """The active subset-intersection path: ``auto``/``depth``/``enumerate``.
-
-    ``REPRO_SUBSET_MODE`` is re-read on every call, so changing (or
-    unsetting) the variable at runtime takes effect immediately and —
-    like :func:`set_subset_mode` — clears the subset-intersection cache,
-    keeping A/B harnesses that flip the env var between arms from being
-    served entries computed under the other path.  A mode selected with
-    :func:`set_subset_mode` stays in force until the env var *changes
-    again*; an unchanged env var never overrides it.
-    """
-    global _ENV_RAW, _SUBSET_MODE
-    raw = os.environ.get("REPRO_SUBSET_MODE")
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        mode = _mode_from_env()
-        if mode != _SUBSET_MODE:
-            _SUBSET_MODE = mode
-            SUBSET_CACHE.clear()
+    """The active subset-intersection path: ``auto``/``depth``/``enumerate``."""
     return _SUBSET_MODE
 
 
@@ -137,8 +94,12 @@ def set_subset_mode(mode: str) -> str:
     an A/B arm expecting this one.
     """
     global _SUBSET_MODE
+    if mode not in _SUBSET_MODES:
+        raise ValueError(
+            f"subset mode must be one of {_SUBSET_MODES}, got {mode!r}"
+        )
     previous = _SUBSET_MODE
-    _SUBSET_MODE = _normalize_mode(mode)
+    _SUBSET_MODE = mode
     if _SUBSET_MODE != previous:
         SUBSET_CACHE.clear()
     return previous
@@ -341,32 +302,14 @@ def intersect_subset_hulls(points, f: int) -> ConvexPolytope:
             f"cannot drop f={f} points from a multiset of size {m}"
         )
     PERF.subset_intersection_calls += 1
-    if cache_enabled():
-        key = (array_key(pts), f)
-        cached = SUBSET_CACHE.get(key)
-        if cached is not None:
-            PERF.subset_intersection_cache_hits += 1
-            return cached
-        PERF.subset_intersection_cache_misses += 1
-        # In-memory miss: consult the shared cross-worker cache.  The
-        # active subset mode is part of the disk key — the depth and
-        # enumeration paths agree geometrically but not bit-for-bit, so
-        # A/B runs flipping REPRO_SUBSET_MODE must not share entries.
-        disk_key: str | None = None
-        if shared_cache.shared_cache_enabled():
-            disk_key = shared_cache.content_key(
-                "intersect_subset_hulls", [pts], params=(f, subset_mode())
-            )
-            from_disk = shared_cache.load_polytope(disk_key)
-            if from_disk is not None:
-                SUBSET_CACHE.put(key, from_disk)
-                return from_disk
-        result = _intersect_subset_hulls_uncached(pts, m, dim, f)
-        SUBSET_CACHE.put(key, result)
-        if disk_key is not None:
-            shared_cache.store_polytope(disk_key, result)
-        return result
-    return _intersect_subset_hulls_uncached(pts, m, dim, f)
+    # The active subset mode is part of the disk key: the depth and
+    # enumeration paths agree geometrically but not bit-for-bit, so A/B
+    # runs flipping the mode must not share entries.
+    return SUBSET_CACHE.fetch(
+        (array_key(pts), f),
+        _intersect_subset_hulls_uncached, pts, m, dim, f,
+        disk=("intersect_subset_hulls", [pts], (f, subset_mode())),
+    )
 
 
 def _intersect_subset_hulls_uncached(
@@ -419,8 +362,8 @@ def subset_intersection_is_nonempty(
     over either the ``O(C(m, d))`` depth candidate halfspaces or the
     ``C(m, f)`` stacked subset H-reps, routed by the same rule as
     :func:`intersect_subset_hulls`: ``auto`` takes the depth path exactly
-    when ``C(m, f) > C(m, d)``, and ``REPRO_SUBSET_MODE=depth`` /
-    ``enumerate`` force one path.
+    when ``C(m, f) > C(m, d)``, and the ``depth`` / ``enumerate`` modes
+    force one path.
     """
     pts = as_points_array(points)
     m, dim = pts.shape

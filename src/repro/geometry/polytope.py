@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import POLYTOPE_CACHE, PERF, array_key, cache_enabled
+from .cache import POLYTOPE_CACHE, array_key, freeze_readonly
 from .errors import DimensionMismatchError, EmptyPolytopeError
 from .hull import hull_vertices
 from .linalg import affine_chart, affine_rank, as_points_array
@@ -87,17 +87,7 @@ class ConvexPolytope:
             arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, dim or 0)
         if dim is None:
             dim = arr.shape[1]
-        if not cache_enabled():
-            return cls(arr, dim, _trusted=True)
-        key = (dim, array_key(arr))
-        cached = POLYTOPE_CACHE.get(key)
-        if cached is not None:
-            PERF.polytope_intern_hits += 1
-            return cached
-        PERF.polytope_intern_misses += 1
-        poly = cls(arr, dim, _trusted=True)
-        POLYTOPE_CACHE.put(key, poly)
-        return poly
+        return POLYTOPE_CACHE.fetch((dim, array_key(arr)), _trusted, arr, dim)
 
     @classmethod
     def from_interval(cls, lo: float, hi: float) -> "ConvexPolytope":
@@ -323,7 +313,8 @@ class ConvexPolytope:
     def _hrep(self) -> tuple[np.ndarray, np.ndarray]:
         from .halfspaces import hrep_of_hull  # deferred: halfspaces builds on us
 
-        return hrep_of_hull(self._vertices)
+        a, b = hrep_of_hull(self._vertices)
+        return freeze_readonly(a), freeze_readonly(b)
 
     def hrep(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached halfspace representation ``(A, b)``: ``{x : A x <= b}``.
@@ -349,3 +340,8 @@ class ConvexPolytope:
             raise DimensionMismatchError("point dimension mismatch")
         a, b = self._hrep
         return float(np.max(a @ p - b))
+
+
+def _trusted(vertices: np.ndarray, dim: int) -> ConvexPolytope:
+    """The trusted constructor as a positional call (the interning miss)."""
+    return ConvexPolytope(vertices, dim, _trusted=True)

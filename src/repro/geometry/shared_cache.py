@@ -44,7 +44,7 @@ What is cached here
 Only results that are expensive to recompute relative to ~1 ms of disk
 I/O: ``linear_combination`` outputs, ``intersect_subset_hulls`` outputs,
 and directed-Hausdorff pair distances from the batched maximisation.
-Cheap primitives (single hulls, H-reps) stay in-memory only.
+Cheap primitives (single hulls, interned polytopes) stay in-memory only.
 """
 
 from __future__ import annotations

@@ -343,13 +343,6 @@ class FaultPlan:
     def recovery_spec(self, pid: int) -> RecoverySpec | None:
         return self.recoveries.get(pid)
 
-    def byzantine_spec(self, pid: int) -> ByzantineSpec | None:
-        return self.byzantine.get(pid)
-
-    @property
-    def has_byzantine(self) -> bool:
-        return bool(self.byzantine)
-
     @property
     def has_durable_recovery(self) -> bool:
         """True when any recovering process needs a checkpoint to restore."""

@@ -86,10 +86,6 @@ class ProcessTrace:
     def state_at(self, round_index: int) -> ConvexPolytope | None:
         return self.states.get(round_index)
 
-    @property
-    def rounds_completed(self) -> int:
-        return max(self.states.keys(), default=-1)
-
 
 @dataclass
 class ExecutionTrace:

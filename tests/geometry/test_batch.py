@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geometry.batch import (
-    PolytopeBatch,
     batch_directed_hausdorff,
     batch_disagreement_diameter,
     batch_enabled,
@@ -40,26 +39,17 @@ def random_polys(k, d, seed, verts=10):
 
 
 class TestSwitch:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GEOMETRY_BATCH", raising=False)
+    def test_default_on(self):
         set_batch_enabled(None)
         assert batch_enabled()
 
-    def test_env_off_values(self, monkeypatch):
-        set_batch_enabled(None)
-        for value in ("0", "false", "off"):
-            monkeypatch.setenv("REPRO_GEOMETRY_BATCH", value)
+    def test_override_wins_and_restores(self):
+        with batch_override(False):
             assert not batch_enabled()
-        monkeypatch.setenv("REPRO_GEOMETRY_BATCH", "1")
+            with batch_override(True):
+                assert batch_enabled()
+            assert not batch_enabled()
         assert batch_enabled()
-
-    def test_override_wins_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEOMETRY_BATCH", "0")
-        set_batch_enabled(None)
-        assert not batch_enabled()
-        with batch_override(True):
-            assert batch_enabled()
-        assert not batch_enabled()
 
     def test_set_returns_previous(self):
         prev = set_batch_enabled(True)
@@ -67,26 +57,6 @@ class TestSwitch:
             assert set_batch_enabled(False) is True
         finally:
             set_batch_enabled(prev)
-
-
-class TestPolytopeBatch:
-    def test_segments_roundtrip(self):
-        polys = random_polys(5, 3, seed=0)
-        batch = PolytopeBatch(polys)
-        assert batch.dim == 3
-        assert batch.offsets[0] == 0
-        assert batch.offsets[-1] == batch.stacked.shape[0]
-        for i, poly in enumerate(polys):
-            segment = batch.stacked[batch.offsets[i] : batch.offsets[i + 1]]
-            assert np.array_equal(segment, poly.vertices)
-
-    def test_rejects_empty_and_mixed_dims(self):
-        with pytest.raises(ValueError):
-            PolytopeBatch([])
-        with pytest.raises(EmptyPolytopeError):
-            PolytopeBatch([square(), ConvexPolytope.empty(2)])
-        with pytest.raises(DimensionMismatchError):
-            PolytopeBatch([square(), ConvexPolytope.from_interval(0, 1)])
 
 
 class TestBatchHausdorff:

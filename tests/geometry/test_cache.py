@@ -2,8 +2,8 @@
 
 Covers the LRU mechanics, the global on/off switch, polytope interning,
 counter accounting, and the read-only discipline of shared arrays — the
-machinery the memoized primitives in hull/halfspaces/intersection/
-combination rely on.
+machinery the memoized primitives in hull/intersection/combination/
+polytope rely on.
 """
 
 import numpy as np
@@ -11,14 +11,12 @@ import pytest
 
 from repro.geometry.cache import (
     COMBINATION_CACHE,
-    HREP_CACHE,
     HULL_CACHE,
     PERF,
     POLYTOPE_CACHE,
     SUBSET_CACHE,
     LruCache,
     array_key,
-    cache_disabled,
     cache_enabled,
     cache_override,
     cache_stats,
@@ -26,7 +24,6 @@ from repro.geometry.cache import (
     freeze_readonly,
     set_cache_enabled,
 )
-from repro.geometry.halfspaces import hrep_of_hull
 from repro.geometry.hull import hull_vertices
 from repro.geometry.polytope import ConvexPolytope
 
@@ -102,9 +99,9 @@ class TestGlobalSwitch:
 
     def test_cache_disabled_context_restores(self):
         assert cache_enabled()
-        with cache_disabled():
+        with cache_override(False):
             assert not cache_enabled()
-            with cache_disabled():  # reentrant
+            with cache_override(False):  # reentrant
                 assert not cache_enabled()
             assert not cache_enabled()
         assert cache_enabled()
@@ -117,7 +114,7 @@ class TestGlobalSwitch:
 
     def test_disabled_hull_does_not_populate_cache(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
-        with cache_disabled():
+        with cache_override(False):
             hull_vertices(pts)
         assert len(HULL_CACHE) == 0
         hull_vertices(pts)
@@ -137,13 +134,17 @@ class TestMemoizedPrimitives:
         assert first is second  # the shared cached array, not a copy
 
     def test_hrep_second_call_hits(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        # The H-rep is cached on the polytope itself, read-only.
+        poly = ConvexPolytope.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         before = PERF.snapshot()
-        a1, b1 = hrep_of_hull(pts)
-        a2, b2 = hrep_of_hull(pts.copy())
-        delta = PERF.diff(before)
-        assert delta["hrep_cache_hits"] == 1
-        assert a1 is a2 and b1 is b2
+        assert poly.violation([0.2, 0.2]) < 0.0
+        assert poly.violation([2.0, 2.0]) > 0.0
+        a, b = poly.hrep()
+        assert PERF.diff(before)["hrep_calls"] == 1
+        shared_a, shared_b = poly._hrep
+        assert not shared_a.flags.writeable and not shared_b.flags.writeable
+        a[0, 0] = 99.0  # hrep() hands out copies
+        assert shared_a[0, 0] != 99.0
 
     def test_cached_arrays_are_readonly(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
@@ -171,7 +172,7 @@ class TestPolytopeInterning:
 
     def test_interning_off_when_disabled(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with cache_disabled():
+        with cache_override(False):
             p1 = ConvexPolytope.from_trusted_vertices(verts, dim=2)
             p2 = ConvexPolytope.from_trusted_vertices(verts, dim=2)
         assert p1 is not p2
@@ -190,7 +191,7 @@ class TestStatsAndKeys:
     def test_registry_covers_all_caches(self):
         stats = cache_stats()
         assert set(stats) == {
-            "hull", "hrep", "subset_intersection", "combination", "polytope"
+            "hull", "subset_intersection", "combination", "polytope"
         }
         for entry in stats.values():
             assert entry["size"] == 0  # cold-started by the fixture
@@ -200,13 +201,10 @@ class TestStatsAndKeys:
     def test_clear_geometry_caches_empties_every_cache(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         hull_vertices(pts)
-        hrep_of_hull(pts)
         ConvexPolytope.from_trusted_vertices(pts, dim=2)
-        assert len(HULL_CACHE) + len(HREP_CACHE) + len(POLYTOPE_CACHE) > 0
+        assert len(HULL_CACHE) + len(POLYTOPE_CACHE) > 0
         clear_geometry_caches()
-        for cache in (
-            HULL_CACHE, HREP_CACHE, SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE
-        ):
+        for cache in (HULL_CACHE, SUBSET_CACHE, COMBINATION_CACHE, POLYTOPE_CACHE):
             assert len(cache) == 0
 
     def test_array_key_is_content_addressed(self):

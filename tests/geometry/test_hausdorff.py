@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry.batch import batch_override
 from repro.geometry.errors import DimensionMismatchError, EmptyPolytopeError
 from repro.geometry.hausdorff import (
     directed_hausdorff,
@@ -104,3 +105,30 @@ class TestHausdorffToPoint:
     def test_empty(self):
         with pytest.raises(EmptyPolytopeError):
             hausdorff_to_point(ConvexPolytope.empty(2), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("batch_on", [False, True], ids=["scalar", "batch"])
+def test_dispatch_under_both_settings(batch_on):
+    """The public entry points give the exact answers on either path."""
+    outer = square(side=2.0)
+    inner = square(offset=(0.5, 0.5))
+    with batch_override(batch_on):
+        assert directed_hausdorff(square(), square()) == 0.0
+        assert directed_hausdorff(inner, outer) == pytest.approx(0.0, abs=1e-12)
+        assert directed_hausdorff(square(), square(offset=(2.0, 0.0))) == (
+            pytest.approx(2.0)
+        )
+        assert hausdorff_distance(outer, inner) == pytest.approx(np.sqrt(0.5))
+        assert hausdorff_distance(
+            ConvexPolytope.from_interval(0.0, 1.0),
+            ConvexPolytope.from_interval(0.25, 2.0),
+        ) == pytest.approx(1.0)
+        assert disagreement_diameter([]) == 0.0
+        assert disagreement_diameter([square()]) == 0.0
+        assert disagreement_diameter(
+            [square(), square(offset=(1.0, 0.0)), square(offset=(5.0, 0.0))]
+        ) == pytest.approx(5.0)
+        with pytest.raises(EmptyPolytopeError):
+            directed_hausdorff(square(), ConvexPolytope.empty(2))
+        with pytest.raises(DimensionMismatchError):
+            directed_hausdorff(square(), ConvexPolytope.from_interval(0, 1))

@@ -4,7 +4,7 @@ Covers the satellite checklist: concurrent multi-process read/write
 safety, corruption tolerance (truncated entries recompute instead of
 crashing), append-only semantics, the local/foreign hit provenance split,
 and bit-identity of cached vs. recomputed results under both
-``REPRO_GEOMETRY_BATCH`` settings.
+``batch_override`` settings.
 """
 
 import multiprocessing

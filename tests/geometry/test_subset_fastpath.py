@@ -67,36 +67,6 @@ class TestModeSelection:
         set_subset_mode(subset_mode())
         assert len(SUBSET_CACHE) == 1
 
-    def test_invalid_env_value_warns_and_falls_back(self, monkeypatch):
-        from repro.geometry.intersection import _mode_from_env
-
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "bogus")
-        with pytest.warns(UserWarning, match="REPRO_SUBSET_MODE"):
-            assert _mode_from_env() == "auto"
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "enumerate")
-        assert _mode_from_env() == "enumerate"
-
-    def test_env_switch_takes_effect_at_runtime(self, monkeypatch):
-        # The env var is re-read on every subset_mode() call; a runtime
-        # change behaves like set_subset_mode (including the cache clear),
-        # so A/B harnesses flipping the variable between arms never see
-        # entries computed under the other path.
-        pts = np.random.default_rng(0).normal(size=(9, 2))
-        intersect_subset_hulls(pts, 2)
-        assert len(SUBSET_CACHE) == 1
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "enumerate")
-        assert subset_mode() == "enumerate"
-        assert len(SUBSET_CACHE) == 0
-        monkeypatch.delenv("REPRO_SUBSET_MODE")
-        assert subset_mode() == "auto"
-
-    def test_unchanged_env_does_not_override_set_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSET_MODE", "depth")
-        assert subset_mode() == "depth"
-        set_subset_mode("enumerate")
-        # The env var did not change again, so the explicit setting wins.
-        assert subset_mode() == "enumerate"
-
 
 class TestAutoRouting:
     """``auto`` takes the depth path exactly when C(m, f) > C(m, d)."""

@@ -17,7 +17,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import convergence_series
 from repro.core.runner import run_convex_hull_consensus
+from repro.geometry.cache import PERF, clear_geometry_caches
 from repro.runtime.channel import ChannelError
 from repro.runtime.faults import (
     AMNESIA,
@@ -28,6 +30,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.lockstep import run_lockstep_consensus
 from repro.workloads import gaussian_cluster
+from repro.workloads.scenarios import outlier_attack
 
 
 def decision_digest(result) -> str:
@@ -226,3 +229,88 @@ def test_golden_full_fabric_run():
 
 def test_golden_raw_transport_error():
     assert raw_transport_error() == RAW_TRANSPORT_ERROR
+
+
+#: PERF fields pinned by the golden-counters test: the lookups, hits and
+#: misses of every memoized geometry primitive, the batched Hausdorff
+#: tallies and the LP count.  perfbench's hit-rate and pruning metrics
+#: are ratios of exactly these fields.
+GOLDEN_COUNTER_FIELDS = (
+    "hull_calls",
+    "hull_cache_hits",
+    "hull_cache_misses",
+    "subset_intersection_calls",
+    "subset_intersection_cache_hits",
+    "subset_intersection_cache_misses",
+    "combination_calls",
+    "combination_cache_hits",
+    "combination_cache_misses",
+    "polytope_intern_hits",
+    "polytope_intern_misses",
+    "batch_hausdorff_pairs",
+    "batch_hausdorff_pair_prunes",
+    "batch_hausdorff_vertex_prunes",
+    "batch_hausdorff_dedup_groups",
+    "lp_solves",
+)
+
+GOLDEN_COUNTERS = {
+    # One structural CC run from cold geometry caches.
+    "structural_cc_crash": {
+        "hull_calls": 20,
+        "hull_cache_hits": 4,
+        "hull_cache_misses": 16,
+        "subset_intersection_calls": 6,
+        "subset_intersection_cache_hits": 5,
+        "subset_intersection_cache_misses": 1,
+        "combination_calls": 90,
+        "combination_cache_hits": 87,
+        "combination_cache_misses": 3,
+        "polytope_intern_hits": 359,
+        "polytope_intern_misses": 3,
+        "batch_hausdorff_pairs": 0,
+        "batch_hausdorff_pair_prunes": 0,
+        "batch_hausdorff_vertex_prunes": 0,
+        "batch_hausdorff_dedup_groups": 0,
+        "lp_solves": 1,
+    },
+    # convergence_series alone on the starved 2-d outlier run: the
+    # faulty pid's state disagrees, so the Hausdorff maximisation runs.
+    "starved_2d_convergence": {
+        "hull_calls": 0,
+        "hull_cache_hits": 0,
+        "hull_cache_misses": 0,
+        "subset_intersection_calls": 0,
+        "subset_intersection_cache_hits": 0,
+        "subset_intersection_cache_misses": 0,
+        "combination_calls": 0,
+        "combination_cache_hits": 0,
+        "combination_cache_misses": 0,
+        "polytope_intern_hits": 0,
+        "polytope_intern_misses": 0,
+        "batch_hausdorff_pairs": 24,
+        "batch_hausdorff_pair_prunes": 0,
+        "batch_hausdorff_vertex_prunes": 21,
+        "batch_hausdorff_dedup_groups": 56,
+        "lp_solves": 0,
+    },
+}
+
+
+def perf_delta(fn) -> dict:
+    before = PERF.snapshot()
+    fn()
+    delta = PERF.diff(before)
+    return {name: delta[name] for name in GOLDEN_COUNTER_FIELDS}
+
+
+def test_golden_counters():
+    clear_geometry_caches()
+    cc = perf_delta(structural_cc_crash)
+    clear_geometry_caches()
+    starved = outlier_attack(n=5, d=2).run(seed=0)
+    convergence = perf_delta(lambda: convergence_series(starved.trace))
+    assert {
+        "structural_cc_crash": cc,
+        "starved_2d_convergence": convergence,
+    } == GOLDEN_COUNTERS

@@ -5,7 +5,7 @@ The batch core's contract (see :mod:`repro.geometry.batch`) is *exact*
 approximate agreement.  These suites drive both paths over seeded random,
 duplicate-heavy, degenerate, and adversarially-scaled inputs and assert
 float-for-float identical results, plus identity of the public dispatch
-under both ``REPRO_GEOMETRY_BATCH`` settings.
+under both ``batch_override`` settings.
 """
 
 import numpy as np

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.geometry.cache import (
-    cache_disabled,
     cache_override,
     clear_geometry_caches,
     set_cache_enabled,
@@ -56,7 +55,7 @@ def polytope_list(draw, min_polys=1, max_polys=4):
     for _ in range(count):
         m = draw(st.integers(1, 6))
         pts = draw(hnp.arrays(np.float64, (m, dim), elements=finite_floats))
-        with cache_disabled():
+        with cache_override(False):
             # Build operands outside the cache so both A/B runs see the
             # exact same (fresh, unshared) polytope objects.
             polys.append(ConvexPolytope.from_points(pts))
@@ -83,7 +82,7 @@ class TestHullIdentity:
     @given(points(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_cached_equals_uncached(self, pts):
-        with cache_disabled():
+        with cache_override(False):
             reference = hull_vertices(pts)
         clear_geometry_caches()
         with cache_override(True):
@@ -99,7 +98,7 @@ class TestSubsetIntersectionIdentity:
     def test_cached_equals_uncached(self, pts, f):
         if pts.shape[0] <= f:
             f = pts.shape[0] - 1
-        with cache_disabled():
+        with cache_override(False):
             reference = intersect_subset_hulls(pts, f)
         clear_geometry_caches()
         with cache_override(True):
@@ -119,7 +118,7 @@ class TestCombinationIdentity:
     @settings(max_examples=40, deadline=None)
     def test_cached_equals_uncached(self, polys, data):
         weights = data.draw(weights_for_count(len(polys)))
-        with cache_disabled():
+        with cache_override(False):
             reference = linear_combination(polys, weights)
         clear_geometry_caches()
         with cache_override(True):
@@ -148,7 +147,7 @@ class TestCombinationIdentity:
             backward = linear_combination(
                 [polys[i] for i in perm], [weights[i] for i in perm]
             )
-        with cache_disabled():
+        with cache_override(False):
             backward_ref = linear_combination(
                 [polys[i] for i in perm], [weights[i] for i in perm]
             )
